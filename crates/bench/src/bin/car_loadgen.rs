@@ -34,9 +34,9 @@
 //! With `--reactor` (Linux only) the phases become the
 //! connection-density phases of `BENCH_10.json`:
 //!
-//! 1. **reactor_idle_dense** — a real `car-server --net-mode reactor`
-//!    child process holds 10,000 idle connections while the standard
-//!    120-client mixed workload runs against it, every answer
+//! 1. **reactor_idle_dense** — a real `car-server` child process
+//!    holds 10,000 idle connections while the standard 120-client
+//!    mixed workload runs against it, every answer
 //!    shadow-verified; the child's thread count must stay O(workers),
 //!    its epoll wakeups bounded by traffic, and a remote `shutdown`
 //!    must drain it cleanly.
@@ -1068,7 +1068,7 @@ mod reactor_phases {
         frame, merge, mixed_phase, ClientTally, Json, PhaseReport, SCHEMA, IDLE_CONNS,
     };
     use car_server::json::{obj, parse, s, Json as J};
-    use car_server::service::{NetMode, ServerConfig};
+    use car_server::service::ServerConfig;
     use car_server::{Client, Server};
     use std::io::BufRead;
     use std::net::{SocketAddr, TcpStream};
@@ -1096,8 +1096,6 @@ mod reactor_phases {
             .args([
                 "--addr",
                 "127.0.0.1:0",
-                "--net-mode",
-                "reactor",
                 "--deadline-ms",
                 "0",
                 "--max-items",
@@ -1165,7 +1163,7 @@ mod reactor_phases {
         for _ in 0..IDLE_CONNS {
             idle.push(TcpStream::connect(addr).expect("idle connect"));
         }
-        // Wait until the event loop has registered every idle socket.
+        // Wait until the workers have registered every idle socket.
         let deadline = Instant::now() + Duration::from_secs(60);
         loop {
             let v = health(&mut control);
@@ -1185,7 +1183,6 @@ mod reactor_phases {
         let frames_decoded = net_field(&v, "frames_decoded");
         let wakeups = net_field(&v, "wakeups");
         let workers = net_field(&v, "workers");
-        let queue_depth = net_field(&v, "worker_queue_depth");
 
         // The idle sockets are all still parked and answering: poke one.
         use std::io::{Read as _, Write as _};
@@ -1221,8 +1218,8 @@ mod reactor_phases {
         );
         c.insert("net_workers".into(), workers);
         // O(workers) threads, not O(connections): the child runs a main
-        // thread, the event loop, the worker pool, and a few runtime
-        // extras — nowhere near one-per-connection.
+        // thread, the worker pool, and a few runtime extras — nowhere
+        // near one-per-connection.
         c.insert(
             "threads_bounded".into(),
             u64::from(threads_with_10k > 0 && threads_with_10k <= workers + 12),
@@ -1233,7 +1230,6 @@ mod reactor_phases {
             "wakeups_bounded".into(),
             u64::from(wakeups <= 6 * frames_decoded + 4 * conns_accepted + 4096),
         );
-        c.insert("worker_queue_drained".into(), u64::from(queue_depth == 0));
         c.insert("idle_probe_ok".into(), probe_ok);
         c.insert("shutdown_acked".into(), shutdown_acked);
         c.insert("clean_child_exit".into(), clean_exit);
@@ -1255,7 +1251,6 @@ mod reactor_phases {
         config.quota.deadline = None;
         config.quota.max_items = None;
         config.quota.max_pending = usize::MAX;
-        config.net_mode = NetMode::Reactor;
         config
     }
 

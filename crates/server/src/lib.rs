@@ -8,163 +8,44 @@
 //!    delta, or a budget-exhausting query affects exactly one response;
 //!    never the connection, never the workspace, never another tenant.
 //! 2. **Bounded everything** — frame size, query queue depth, undo
-//!    history, caches, per-round reasoning budgets, and (new with the
-//!    reactor) read accumulation and write backpressure buffers all
-//!    have caps; overload degrades to `unknown` answers or a single
-//!    disconnected slow client instead of queueing unboundedly.
+//!    history, caches, per-round reasoning budgets, read accumulation
+//!    and write backpressure buffers all have caps; overload degrades
+//!    to `unknown` answers or a single disconnected slow client instead
+//!    of queueing unboundedly.
 //! 3. **Coalescing** — concurrent queries against the same workspace
 //!    version are answered by a single batched reasoning pass (leader
 //!    drains the queue; followers wait on a condvar).
 //!
-//! Two network runtimes share one protocol implementation
-//! ([`protocol::FrameDecoder`] + [`Service::execute_frame`]), selected
-//! by [`service::NetMode`] (`--net-mode`):
-//!
-//! * **`threads`** (default) — one thread per connection. Simple and
-//!   portable; costs a thread per *connected* client. Blocking writes
-//!   carry a `write_timeout` so a stalled reader disconnects instead
-//!   of wedging its thread forever.
-//! * **`reactor`** (Linux) — the [`reactor`] module's epoll event loop
-//!   plus a fixed worker pool: tens of thousands of idle connections on
-//!   a handful of threads. See `DESIGN.md` §15.
+//! The network runtime is the [`reactor`] module: `--net-workers`
+//! threads share one `epoll` instance, and the worker woken for a
+//! connection owns it for one turn — it reads at most one chunk,
+//! decodes frames with [`protocol::FrameDecoder`], runs
+//! [`Service::execute_frame`] and writes each response, then re-arms
+//! the connection behind every other ready one. Tens of
+//! thousands of idle connections cost no threads. The crate targets
+//! Linux only. See `DESIGN.md` §15.
 //!
 //! All cross-connection state lives in [`service::Service`] behind
-//! sharded mutexes, identically in both modes.
+//! sharded mutexes.
 //!
 //! See `DESIGN.md` §11 for the protocol reference.
 
+#[cfg(not(target_os = "linux"))]
+compile_error!("car-server targets Linux only: its network runtime is built on epoll");
+
 pub mod json;
 pub mod protocol;
-#[cfg(target_os = "linux")]
 pub mod reactor;
 pub mod service;
 
-use protocol::{err_response, Decoded, FrameDecoder, WireError};
-use service::{NetMode, ServerConfig, Service, StoreMode};
+use service::{ServerConfig, Service, StoreMode};
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// Wakes the threads-mode accept loop (which blocks in epoll on Linux,
-/// or polls with a short sleep elsewhere) so [`Server::stop`] works
-/// even when the listener backlog is full — the old implementation
-/// dialed a throwaway connection to itself, which needs a free backlog
-/// slot to work.
-#[cfg(target_os = "linux")]
-struct AcceptWaker {
-    epoll: reactor::sys::Epoll,
-    wake: reactor::sys::Wakeup,
-}
-
-#[cfg(target_os = "linux")]
-impl AcceptWaker {
-    fn new(listener: &TcpListener) -> std::io::Result<AcceptWaker> {
-        use std::os::fd::AsRawFd;
-        let epoll = reactor::sys::Epoll::new()?;
-        let wake = reactor::sys::Wakeup::new()?;
-        epoll.add(listener.as_raw_fd(), 0, reactor::sys::EPOLLIN)?;
-        epoll.add(wake.raw_fd(), 1, reactor::sys::EPOLLIN)?;
-        Ok(AcceptWaker { epoll, wake })
-    }
-
-    /// Blocks until the listener is readable or [`AcceptWaker::notify`]
-    /// is called.
-    fn wait(&self) {
-        let mut events = [reactor::sys::EpollEvent::default(); 4];
-        let _ = self.epoll.wait(&mut events, -1);
-        self.wake.drain();
-    }
-
-    fn notify(&self) {
-        self.wake.notify();
-    }
-}
-
-#[cfg(not(target_os = "linux"))]
-struct AcceptWaker;
-
-#[cfg(not(target_os = "linux"))]
-impl AcceptWaker {
-    fn new(_listener: &TcpListener) -> std::io::Result<AcceptWaker> {
-        Ok(AcceptWaker)
-    }
-
-    fn wait(&self) {
-        std::thread::sleep(Duration::from_millis(10));
-    }
-
-    fn notify(&self) {}
-}
-
-/// Serves one connection until EOF or a write error (threads mode).
-/// Every non-blank frame gets exactly one response line; protocol
-/// errors never close the connection. Frames are decoded by the same
-/// [`FrameDecoder`] the reactor uses, so framing behavior (cap,
-/// resync-at-newline, partial final frame) is bit-identical across
-/// modes.
-fn serve_connection(stream: TcpStream, service: &Service) {
-    let config = service.config();
-    let counters = Arc::clone(service.net_counters());
-    let max_frame = config.max_frame_bytes;
-    // The write deadline: a stalled/slow client used to wedge this
-    // thread forever in a blocking `write_all`; now it gets
-    // disconnected once the kernel buffer stays full for the timeout.
-    let _ = stream.set_write_timeout(config.write_timeout);
-    let Ok(mut write_half) = stream.try_clone() else { return };
-    let mut read_half = stream;
-    let mut decoder = FrameDecoder::new(max_frame);
-    let mut chunk = [0u8; 16 * 1024];
-    let mut eof = false;
-    loop {
-        // Answer every decoded frame before reading more (bounded
-        // accumulation: a pipelining client cannot outrun responses).
-        loop {
-            let event = match decoder.next_event() {
-                Some(event) => event,
-                None if eof => match decoder.finish() {
-                    Some(event) => event,
-                    None => return,
-                },
-                None => break,
-            };
-            let response = match event {
-                Decoded::TooLarge => {
-                    counters.frames_oversized.fetch_add(1, Ordering::Relaxed);
-                    err_response(
-                        None,
-                        &WireError::new(
-                            "frame_too_large",
-                            format!("request frame exceeds {max_frame} bytes"),
-                        ),
-                    )
-                }
-                Decoded::Frame(raw) => {
-                    if raw.iter().all(u8::is_ascii_whitespace) {
-                        continue; // blank line between frames
-                    }
-                    counters.frames_decoded.fetch_add(1, Ordering::Relaxed);
-                    service.execute_frame(&raw)
-                }
-            };
-            if let Err(e) = write_half.write_all(response.as_bytes()) {
-                if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) {
-                    counters.write_timeout_disconnects.fetch_add(1, Ordering::Relaxed);
-                }
-                return;
-            }
-        }
-        match read_half.read(&mut chunk) {
-            Ok(0) => eof = true,
-            Ok(n) => decoder.push(&chunk[..n]),
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(_) => return,
-        }
-    }
-}
 
 /// The lease keeper: renews this process's claims and sweeps the
 /// shared data dir for unclaimed or abandoned workspaces, every
@@ -185,77 +66,19 @@ fn keeper_loop(service: &Service, stopping: &AtomicBool) {
     }
 }
 
-/// The live-connection registry (threads mode): lets a graceful
-/// shutdown half-close every active connection's read side (so
-/// in-flight requests finish and get their responses, then the
-/// connection sees EOF) and observe when all connection threads have
-/// drained.
-#[derive(Default)]
-struct ConnRegistry {
-    next: AtomicU64,
-    conns: Mutex<HashMap<u64, TcpStream>>,
-}
-
-impl ConnRegistry {
-    fn register(&self, stream: &TcpStream) -> Option<u64> {
-        let clone = stream.try_clone().ok()?;
-        let id = self.next.fetch_add(1, Ordering::Relaxed);
-        self.conns
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .insert(id, clone);
-        Some(id)
-    }
-
-    fn deregister(&self, id: u64) {
-        self.conns
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .remove(&id);
-    }
-
-    fn active(&self) -> usize {
-        self.conns.lock().unwrap_or_else(std::sync::PoisonError::into_inner).len()
-    }
-
-    fn half_close_all(&self) {
-        for conn in self
-            .conns
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .values()
-        {
-            let _ = conn.shutdown(std::net::Shutdown::Read);
-        }
-    }
-}
-
 /// How long [`Server::shutdown`] waits for in-flight connections to
 /// finish their current request after the read half-close.
 const DRAIN_TIMEOUT: Duration = Duration::from_secs(10);
 
-/// The mode-specific half of a running server.
-enum NetRuntime {
-    /// Thread-per-connection: the accept-loop thread plus the registry
-    /// of live connections (each on its own thread).
-    Threads {
-        conns: Arc<ConnRegistry>,
-        accept_thread: Option<JoinHandle<()>>,
-        waker: Arc<AcceptWaker>,
-    },
-    /// The epoll event loop and its worker pool.
-    #[cfg(target_os = "linux")]
-    Reactor(reactor::Handle),
-}
-
 /// A running server: bound listener plus its network runtime. Dropping
-/// it does *not* stop the loop; call [`Server::stop`] (abrupt) or
+/// it does *not* stop the workers; call [`Server::stop`] (abrupt) or
 /// [`Server::shutdown`] (graceful drain + snapshot).
 pub struct Server {
     addr: SocketAddr,
     service: Arc<Service>,
     stopping: Arc<AtomicBool>,
-    runtime: NetRuntime,
+    /// `None` once stopped.
+    runtime: Option<reactor::Handle>,
     /// Lease keeper: heartbeats held leases and sweeps the shared data
     /// dir for expired ones. Only spawned for a leader with a data dir.
     keeper_thread: Option<JoinHandle<()>>,
@@ -263,37 +86,20 @@ pub struct Server {
 
 impl Server {
     /// Binds `addr` (use port 0 for an ephemeral port) and starts
-    /// serving in the configured [`NetMode`].
+    /// serving.
     ///
     /// # Errors
-    /// Propagates bind failures; `--net-mode reactor` on a non-Linux
-    /// platform fails with `Unsupported`.
+    /// Propagates bind and epoll setup failures.
     pub fn spawn(addr: impl ToSocketAddrs, config: ServerConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
-        let net_mode = config.net_mode;
         let service = Arc::new(Service::new(config));
         let stopping = Arc::new(AtomicBool::new(false));
-        let runtime = match net_mode {
-            NetMode::Threads => Self::spawn_threads(listener, &service, &stopping)?,
-            NetMode::Reactor => {
-                #[cfg(target_os = "linux")]
-                {
-                    NetRuntime::Reactor(reactor::Handle::spawn(
-                        listener,
-                        Arc::clone(&service),
-                        service.config().net_workers.get(),
-                    )?)
-                }
-                #[cfg(not(target_os = "linux"))]
-                {
-                    return Err(std::io::Error::new(
-                        ErrorKind::Unsupported,
-                        "--net-mode reactor requires Linux (epoll)",
-                    ));
-                }
-            }
-        };
+        let runtime = Some(reactor::Handle::spawn(
+            listener,
+            Arc::clone(&service),
+            service.config().net_workers.get(),
+        )?);
         let keeper_thread = (service.config().data_dir.is_some()
             && service.config().store_mode == StoreMode::Leader)
             .then(|| {
@@ -302,71 +108,6 @@ impl Server {
                 std::thread::spawn(move || keeper_loop(&service, &stopping))
             });
         Ok(Server { addr, service, stopping, runtime, keeper_thread })
-    }
-
-    /// The threads-mode accept loop: a nonblocking listener woken by an
-    /// [`AcceptWaker`], so stopping never depends on a free backlog
-    /// slot (the old code dialed a throwaway connection to itself).
-    fn spawn_threads(
-        listener: TcpListener,
-        service: &Arc<Service>,
-        stopping: &Arc<AtomicBool>,
-    ) -> std::io::Result<NetRuntime> {
-        listener.set_nonblocking(true)?;
-        let waker = Arc::new(AcceptWaker::new(&listener)?);
-        let conns = Arc::new(ConnRegistry::default());
-        let accept_service = Arc::clone(service);
-        let accept_stopping = Arc::clone(stopping);
-        let accept_conns = Arc::clone(&conns);
-        let accept_waker = Arc::clone(&waker);
-        let accept_thread = std::thread::spawn(move || loop {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    if accept_stopping.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    // Accepted sockets are blocking (nonblocking-ness
-                    // of the listener is not inherited), which is what
-                    // thread-per-connection wants.
-                    stream.set_nodelay(true).ok();
-                    let counters = Arc::clone(accept_service.net_counters());
-                    counters.conns_accepted.fetch_add(1, Ordering::Relaxed);
-                    let service = Arc::clone(&accept_service);
-                    let conns = Arc::clone(&accept_conns);
-                    std::thread::spawn(move || {
-                        let id = conns.register(&stream);
-                        counters.conns_open.store(conns.active() as u64, Ordering::Relaxed);
-                        serve_connection(stream, &service);
-                        if let Some(id) = id {
-                            conns.deregister(id);
-                        }
-                        counters.conns_open.store(conns.active() as u64, Ordering::Relaxed);
-                    });
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                    if accept_stopping.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    accept_waker.wait();
-                    if accept_stopping.load(Ordering::SeqCst) {
-                        break;
-                    }
-                }
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(_) => {
-                    // Transient accept failure (ECONNABORTED, EMFILE…).
-                    if accept_stopping.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-            }
-        });
-        Ok(NetRuntime::Threads {
-            conns,
-            accept_thread: Some(accept_thread),
-            waker,
-        })
     }
 
     /// The bound address (useful with ephemeral ports).
@@ -382,32 +123,20 @@ impl Server {
         &self.service
     }
 
-    /// Stops the network runtime abruptly and joins its threads, then
-    /// the keeper.
-    fn halt_net(&mut self) {
+    /// Stops the workers and the keeper and joins them.
+    fn halt(&mut self) {
         self.stopping.store(true, Ordering::SeqCst);
-        match &mut self.runtime {
-            NetRuntime::Threads { accept_thread, waker, .. } => {
-                waker.notify();
-                if let Some(handle) = accept_thread.take() {
-                    let _ = handle.join();
-                }
-            }
-            #[cfg(target_os = "linux")]
-            NetRuntime::Reactor(handle) => {
-                handle.request_stop();
-                handle.join_all();
-            }
+        if let Some(runtime) = self.runtime.take() {
+            runtime.stop();
         }
         if let Some(handle) = self.keeper_thread.take() {
             let _ = handle.join();
         }
     }
 
-    /// Stops accepting new connections and joins the runtime's threads.
-    /// In threads mode, already-open connections finish naturally when
-    /// their clients hang up; in reactor mode every connection is torn
-    /// down with the loop.
+    /// Stops accepting, joins the runtime's threads (a worker finishes
+    /// the frame it is executing first), and closes the listener and
+    /// every connection.
     ///
     /// This is the *power cut* exit: no snapshots are written and the
     /// lease files are left on disk — a successor gets each workspace
@@ -415,65 +144,34 @@ impl Server {
     /// in-process lease nonces are abandoned, so a successor in this
     /// same process steals instantly instead of waiting out the TTL.)
     pub fn stop(&mut self) {
-        self.halt_net();
+        self.halt();
         self.service.abandon_leases();
     }
 
-    /// Blocks until the runtime exits (i.e. forever, absent
-    /// [`Server::stop`] from another thread). Used by the binary.
-    pub fn join(&mut self) {
-        match &mut self.runtime {
-            NetRuntime::Threads { accept_thread, .. } => {
-                if let Some(handle) = accept_thread.take() {
-                    let _ = handle.join();
-                }
-            }
-            #[cfg(target_os = "linux")]
-            NetRuntime::Reactor(handle) => handle.join_all(),
-        }
-    }
-
     /// Graceful shutdown: stop accepting, half-close every active
-    /// connection's read side (in-flight requests finish and get their
-    /// responses; the next read sees EOF), wait for connections to
-    /// drain, snapshot every workspace, then release every lease
+    /// connection's read side (frames already received finish and get
+    /// their responses; the next read sees EOF), wait for connections
+    /// to drain, snapshot every workspace, then release every lease
     /// (removing the lease files, so a successor claims each workspace
     /// instantly instead of waiting out a takeover). Returns the number
     /// of snapshots written.
     ///
-    /// Identical observable behavior in both net modes. Contrast with
-    /// [`Server::stop`], which abandons connections, writes nothing,
-    /// and leaves the lease files in place — the crash-recovery tests
-    /// use `stop` as the "power cut" and `shutdown` as the clean exit.
+    /// Contrast with [`Server::stop`], which abandons connections,
+    /// writes nothing, and leaves the lease files in place — the
+    /// crash-recovery tests use `stop` as the "power cut" and
+    /// `shutdown` as the clean exit.
     pub fn shutdown(&mut self) -> u64 {
         self.stopping.store(true, Ordering::SeqCst);
         let deadline = Instant::now() + DRAIN_TIMEOUT;
-        match &mut self.runtime {
-            NetRuntime::Threads { conns, accept_thread, waker } => {
-                waker.notify();
-                if let Some(handle) = accept_thread.take() {
-                    let _ = handle.join();
-                }
-                conns.half_close_all();
-                while conns.active() > 0 && Instant::now() < deadline {
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-            }
-            #[cfg(target_os = "linux")]
-            NetRuntime::Reactor(handle) => {
-                handle.request_drain();
-                while handle.conns_open() > 0 && Instant::now() < deadline {
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-                // Backstop for connections that never finished inside
-                // the timeout; a no-op if the loop already exited.
-                handle.request_stop();
-                handle.join_all();
+        if let Some(runtime) = &self.runtime {
+            runtime.request_drain();
+            while runtime.conns_open() > 0 && Instant::now() < deadline {
+                std::thread::sleep(Duration::from_millis(5));
             }
         }
-        if let Some(handle) = self.keeper_thread.take() {
-            let _ = handle.join();
-        }
+        // Connections that never finished inside the timeout are torn
+        // down with the workers.
+        self.halt();
         let written = self.service.snapshot_all();
         self.service.release_leases();
         written
@@ -557,8 +255,8 @@ impl Client {
         let _ = self.writer.shutdown(std::net::Shutdown::Write);
     }
 
-    /// Exposes the underlying socket, e.g. for tests that need a
-    /// client-side write timeout while deliberately stalling a server.
+    /// Exposes the underlying socket, e.g. for tests that set socket
+    /// options while deliberately stalling a server.
     #[must_use]
     pub fn stream(&self) -> &TcpStream {
         &self.writer
@@ -576,10 +274,10 @@ impl Client {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use super::protocol::{Decoded, FrameDecoder};
 
-    /// The lib-level framing contract (shared by both net modes) — the
-    /// incremental decoder behind `serve_connection`.
+    /// The lib-level framing contract — the incremental decoder every
+    /// connection reads through.
     #[test]
     fn frames_are_bounded_and_partial_finals_count() {
         let mut decoder = FrameDecoder::new(10);

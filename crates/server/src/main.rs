@@ -1,7 +1,7 @@
 //! The `car-server` binary: CLI flag parsing around
 //! [`car_server::Server`].
 
-use car_server::service::{NetMode, ServerConfig, StoreMode};
+use car_server::service::{ServerConfig, StoreMode};
 use car_server::Server;
 use std::num::NonZeroUsize;
 use std::time::Duration;
@@ -36,18 +36,11 @@ OPTIONS:
   --lease-ttl-ms <n>        Lease heartbeat time-to-live: how long a workspace
                             lease may go silent before another leader takes it
                             over (default 2000)
-  --net-mode <mode>         'threads' (default) serves one thread per connection;
-                            'reactor' (Linux) runs a single epoll event loop plus
-                            a fixed worker pool, holding 10k+ idle connections on
-                            a handful of threads
-  --net-workers <n>         Reactor worker threads executing protocol ops off the
-                            event loop (default 4)
-  --write-timeout-ms <n>    Threads mode: how long one blocking response write may
-                            stall on a slow client before disconnecting it
-                            (default 30000; 0 = block forever)
-  --max-write-buffer <n>    Reactor mode: bytes of unsent output a non-reading
-                            client may accumulate before it is disconnected
-                            (default 8388608)
+  --net-workers <n>         Network worker threads sharing one epoll instance; the
+                            worker woken for a connection reads, executes and
+                            answers its frames (default 4)
+  --max-write-buffer <n>    Bytes of unsent output a non-reading client may
+                            accumulate before it is disconnected (default 8388608)
   --allow-remote-shutdown   Honor the 'shutdown' operation: drain in-flight work,
                             snapshot every workspace, exit (default off)
   --help                    Show this help
@@ -91,15 +84,6 @@ fn parse_config(args: &[String]) -> (String, ServerConfig) {
                     )),
                 };
             }
-            "--net-mode" => {
-                config.net_mode = match value(&mut i) {
-                    "threads" => NetMode::Threads,
-                    "reactor" => NetMode::Reactor,
-                    other => fail(&format!(
-                        "--net-mode must be 'threads' or 'reactor', not '{other}'"
-                    )),
-                };
-            }
             _ => {
                 let v = value(&mut i);
                 let n: u64 = v
@@ -137,9 +121,6 @@ fn parse_config(args: &[String]) -> (String, ServerConfig) {
                         config.net_workers = NonZeroUsize::new(n as usize)
                             .unwrap_or_else(|| fail("--net-workers must be at least 1"));
                     }
-                    "--write-timeout-ms" => {
-                        config.write_timeout = (n > 0).then(|| Duration::from_millis(n));
-                    }
                     "--max-write-buffer" => {
                         config.max_write_buffer_bytes = n as usize;
                     }
@@ -155,12 +136,9 @@ fn parse_config(args: &[String]) -> (String, ServerConfig) {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let (addr, config) = parse_config(&args);
-    #[cfg(target_os = "linux")]
-    if config.net_mode == NetMode::Reactor {
-        // Connection-dense serving wants the hard fd cap, not the
-        // (often 1024) soft default.
-        let _ = car_server::reactor::sys::raise_fd_limit();
-    }
+    // Connection-dense serving wants the hard fd cap, not the (often
+    // 1024) soft default.
+    let _ = car_server::reactor::sys::raise_fd_limit();
     let mut server = match Server::spawn(addr.as_str(), config) {
         Ok(s) => s,
         Err(e) => fail(&format!("cannot bind {addr}: {e}")),

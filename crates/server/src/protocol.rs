@@ -687,11 +687,10 @@ pub enum Decoded {
 /// surfaced as one [`Decoded::TooLarge`] event, and a final
 /// unterminated line at EOF counts as a frame ([`FrameDecoder::finish`]).
 ///
-/// Both net modes decode through this type, which is what makes their
-/// framing behavior bit-identical. Memory is bounded: the partial-line
-/// accumulator never exceeds `max` bytes (an over-cap partial is
-/// dropped immediately and the decoder switches to discard mode), and
-/// callers stop feeding input while decoded frames are pending.
+/// Memory is bounded: the partial-line accumulator never exceeds `max`
+/// bytes (an over-cap partial is dropped immediately and the decoder
+/// switches to discard mode), and callers stop feeding input while
+/// decoded frames are pending.
 pub struct FrameDecoder {
     max: usize,
     /// The current (last, unterminated) line so far. Empty while `over`.
@@ -746,13 +745,6 @@ impl FrameDecoder {
     /// The next decoded event, if any.
     pub fn next_event(&mut self) -> Option<Decoded> {
         self.events.pop_front()
-    }
-
-    /// Whether a decoded event is ready (used to pause reading while a
-    /// response is in flight without losing pipelined frames).
-    #[must_use]
-    pub fn has_event(&self) -> bool {
-        !self.events.is_empty()
     }
 
     /// Signals EOF: a buffered unterminated line becomes a final frame

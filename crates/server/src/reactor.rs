@@ -1,76 +1,77 @@
-//! Connection-dense polling reactor: hold tens of thousands of idle
-//! connections on a handful of threads.
+//! The network runtime: a fixed pool of workers sharing one `epoll`
+//! instance, each owning whichever connection it was woken for.
 //!
-//! The legacy `--net-mode threads` path spawns one OS thread per
-//! connection, so a fleet's memory and scheduler cost scales with
-//! *connected* clients. This module replaces that with a classic
-//! single-threaded epoll event loop plus a small fixed worker pool:
-//!
-//! * **One event-loop thread** owns the `epoll` instance, the
-//!   (nonblocking) listener, and every connection's state machine. It
-//!   never executes protocol operations — a long reasoning query can
-//!   never stall readiness polling.
-//! * **A fixed worker pool** (`--net-workers`, default 4) executes
-//!   decoded frames via [`Service::execute_frame`] and hands finished
-//!   responses back through a completion queue + wakeup `eventfd`.
-//!   Leader-based query coalescing, admission control, and per-round
-//!   budgets live in the service layer and work unchanged: a coalescing
-//!   leader drains its batch inside its own worker call, so the pool
-//!   can never deadlock on followers alone.
-//! * **Per-connection state machines** decode frames incrementally
-//!   from a byte buffer ([`FrameDecoder`] — the same decoder the
-//!   threads path uses, which is what keeps framing bit-identical
-//!   across modes). Reads are bounded: while an operation is in flight
-//!   (at most one per connection, preserving pipelined response order)
-//!   the connection's `EPOLLIN` interest is masked, so a client cannot
-//!   grow the server's buffers by streaming requests faster than they
-//!   are answered.
+//! * **One epoll, `--net-workers` threads.** Every worker blocks in
+//!   `epoll_wait` on the same instance and takes one event at a time.
+//!   The listener and every connection are registered with
+//!   `EPOLLONESHOT`, so an event disarms its fd: exactly one worker is
+//!   woken for it, and no other worker can be woken for that fd until
+//!   the owner re-arms it.
+//! * **The woken worker owns the connection for one turn.** It flushes
+//!   pending output, reads at most one 16 KiB chunk, decodes it with the
+//!   shared [`FrameDecoder`], runs [`Service::execute_frame`] and writes
+//!   each response; then it re-arms the connection. Frames are served
+//!   one at a time per connection and answered in order, and a
+//!   connection is read only after every frame already decoded from it
+//!   was answered, so a pipelining client cannot grow the server's
+//!   buffers faster than it is answered. A connection that is still
+//!   readable when re-armed goes to the back of epoll's ready list, so
+//!   a client that keeps its socket full gets one chunk per turn and
+//!   cannot hold a worker from other clients. There is no event-loop
+//!   thread and no hand-off queue: a frame's read, execution and write
+//!   happen on one thread, with no cross-thread wakeup on the request
+//!   path.
+//!   Leader-based query coalescing, admission control and per-round
+//!   budgets live in the service layer; a coalescing leader drains its
+//!   batch inside its own worker call, so the pool never deadlocks on
+//!   followers alone.
 //! * **Write backpressure**: responses go to a per-connection output
-//!   buffer; a partial `write` re-arms `EPOLLOUT` instead of blocking
-//!   a thread. A client that stops reading accumulates output only up
-//!   to `max_write_buffer_bytes`, then is disconnected.
+//!   buffer; what the socket does not take re-arms `EPOLLOUT` instead
+//!   of blocking a thread. A client that stops reading accumulates
+//!   output only up to `max_write_buffer_bytes`, then is disconnected.
+//!   Once a connection's read side is closed it is re-armed for
+//!   `EPOLLOUT` alone, so a half-closed client that stops reading
+//!   costs no wakeups at all.
+//! * **Accept back-off**: an accept error such as `EMFILE` leaves the
+//!   one-shot listener disarmed (re-arming at once would spin on the
+//!   same error) until a connection closes or 1 ms has passed.
 //!
 //! Everything is std-only: the handful of syscalls epoll needs are
 //! declared directly in [`sys`] (libc is always linked; no crates).
 //!
-//! Graceful shutdown mirrors the threads path: stop accepting,
-//! half-close every connection's read side, finish in-flight requests
-//! and flush their responses, then close. See `DESIGN.md` §15.
+//! Graceful drain: stop accepting, half-close every connection's read
+//! side, finish the frames already received and flush their responses,
+//! then close. See `DESIGN.md` §15.
 
 use crate::protocol::{err_response, Decoded, FrameDecoder, WireError};
 use crate::service::{NetCounters, Service};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
-use std::net::{TcpListener, TcpStream};
-use std::os::fd::AsRawFd;
+use std::net::{Shutdown, TcpListener, TcpStream};
+use std::os::fd::{AsRawFd, RawFd};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 /// Direct syscall declarations for the readiness API. `std::net` has no
-/// portable non-blocking readiness interface; these five calls are the
-/// entire surface the reactor needs, and libc is always linked into
-/// Rust binaries on Linux, so plain `extern "C"` declarations suffice.
+/// non-blocking readiness interface; these calls are the entire surface
+/// the runtime needs, and libc is always linked into Rust binaries on
+/// Linux, so plain `extern "C"` declarations suffice.
 pub mod sys {
     use std::os::fd::RawFd;
 
     pub const EPOLLIN: u32 = 0x001;
     pub const EPOLLOUT: u32 = 0x004;
-    pub const EPOLLERR: u32 = 0x008;
-    pub const EPOLLHUP: u32 = 0x010;
-    pub const EPOLLRDHUP: u32 = 0x2000;
+    pub const EPOLLONESHOT: u32 = 1 << 30;
 
-    pub const EPOLL_CTL_ADD: i32 = 1;
-    pub const EPOLL_CTL_DEL: i32 = 2;
-    pub const EPOLL_CTL_MOD: i32 = 3;
+    const EPOLL_CTL_ADD: i32 = 1;
+    const EPOLL_CTL_DEL: i32 = 2;
+    const EPOLL_CTL_MOD: i32 = 3;
 
     const EPOLL_CLOEXEC: i32 = 0o2000000;
     const EFD_CLOEXEC: i32 = 0o2000000;
     const EFD_NONBLOCK: i32 = 0o4000;
-
-    const F_GETFL: i32 = 3;
-    const F_SETFL: i32 = 4;
-    const O_NONBLOCK: i32 = 0o4000;
 
     /// The kernel's `struct epoll_event`. Packed on x86-64 (the kernel
     /// ABI omits the padding there); naturally aligned elsewhere.
@@ -89,31 +90,12 @@ pub mod sys {
         fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout: i32)
             -> i32;
         fn eventfd(initval: u32, flags: i32) -> i32;
-        fn fcntl(fd: i32, cmd: i32, arg: i32) -> i32;
         fn close(fd: i32) -> i32;
-        fn read(fd: i32, buf: *mut u8, count: usize) -> isize;
         fn write(fd: i32, buf: *const u8, count: usize) -> isize;
     }
 
     fn last_err() -> std::io::Error {
         std::io::Error::last_os_error()
-    }
-
-    /// Sets `O_NONBLOCK` via `fcntl` (the reactor never wants a
-    /// blocking socket).
-    pub fn set_nonblocking(fd: RawFd) -> std::io::Result<()> {
-        // SAFETY: fcntl on a valid fd with F_GETFL/F_SETFL touches no
-        // caller memory.
-        unsafe {
-            let flags = fcntl(fd, F_GETFL, 0);
-            if flags < 0 {
-                return Err(last_err());
-            }
-            if fcntl(fd, F_SETFL, flags | O_NONBLOCK) < 0 {
-                return Err(last_err());
-            }
-        }
-        Ok(())
     }
 
     /// An owned epoll instance.
@@ -152,7 +134,8 @@ pub mod sys {
             self.ctl(EPOLL_CTL_ADD, fd, events, token)
         }
 
-        /// Changes `fd`'s interest set.
+        /// Changes `fd`'s interest set; for an `EPOLLONESHOT` fd this
+        /// re-arms it, and an fd already ready fires at once.
         ///
         /// # Errors
         /// Propagates `epoll_ctl` failure.
@@ -165,7 +148,8 @@ pub mod sys {
             let _ = self.ctl(EPOLL_CTL_DEL, fd, 0, 0);
         }
 
-        /// Waits for readiness events; retries `EINTR` internally.
+        /// Waits for readiness events (`timeout_ms < 0` waits forever);
+        /// retries `EINTR` internally.
         ///
         /// # Errors
         /// Propagates non-`EINTR` `epoll_wait` failures.
@@ -203,10 +187,9 @@ pub mod sys {
         }
     }
 
-    /// A nonblocking `eventfd` used to wake an epoll loop from other
-    /// threads (worker completions, stop/drain requests) — and to
-    /// unblock the legacy accept loop without the old trick of dialing
-    /// a throwaway connection to ourselves.
+    /// A nonblocking `eventfd` that wakes epoll waiters from another
+    /// thread. Registered level-triggered and never drained, so once
+    /// notified it wakes every waiter — the stop signal.
     pub struct Wakeup {
         fd: RawFd,
     }
@@ -231,19 +214,11 @@ pub mod sys {
             self.fd
         }
 
-        /// Makes the fd readable, waking any epoll waiter.
+        /// Makes the fd readable, waking an epoll waiter.
         pub fn notify(&self) {
             let one: u64 = 1;
             // SAFETY: writes 8 bytes from a live stack value.
             unsafe { write(self.fd, std::ptr::addr_of!(one).cast(), 8) };
-        }
-
-        /// Consumes pending notifications so the (level-triggered) fd
-        /// stops polling readable.
-        pub fn drain(&self) {
-            let mut counter: u64 = 0;
-            // SAFETY: reads 8 bytes into a live stack value.
-            while unsafe { read(self.fd, std::ptr::addr_of_mut!(counter).cast(), 8) } == 8 {}
         }
     }
 
@@ -255,9 +230,9 @@ pub mod sys {
     }
 
     /// Raises the soft `RLIMIT_NOFILE` to the hard cap and returns the
-    /// resulting soft limit. Connection-dense tools (the reactor load
-    /// generator) call this so 10k+ sockets don't trip the default
-    /// 1024-fd soft limit.
+    /// resulting soft limit. Connection-dense processes (the server and
+    /// its load generator) call this so 10k+ sockets don't trip the
+    /// default 1024-fd soft limit.
     #[must_use]
     pub fn raise_fd_limit() -> u64 {
         #[repr(C)]
@@ -286,530 +261,313 @@ pub mod sys {
     }
 }
 
-use sys::{Epoll, EpollEvent, Wakeup};
+use sys::{Epoll, EpollEvent, Wakeup, EPOLLIN, EPOLLONESHOT, EPOLLOUT};
 
 /// Epoll token of the listener.
 const TOKEN_LISTENER: u64 = 0;
-/// Epoll token of the wakeup eventfd.
-const TOKEN_WAKE: u64 = 1;
+/// Epoll token of the stop eventfd.
+const TOKEN_STOP: u64 = 1;
 /// First connection token.
 const TOKEN_CONN0: u64 = 2;
 
-/// Events fetched per `epoll_wait` call.
-const MAX_EVENTS: usize = 1024;
-
-/// Read chunk size per `read` call.
+/// The most one turn reads from a connection.
 const READ_CHUNK: usize = 16 * 1024;
 
-/// A control request from the server handle to the event loop.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Control {
-    /// Stop accepting, half-close reads, finish in-flight work, flush,
-    /// then exit when the last connection closes.
-    Drain,
-    /// Tear everything down now.
-    Stop,
-}
+/// How long a failed accept leaves the listener disarmed when no
+/// connection closes in the meantime.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(1);
 
-/// One decoded frame awaiting a worker.
-struct Job {
-    conn: u64,
-    raw: Vec<u8>,
-}
-
-/// A finished response on its way back to the event loop.
-struct Completion {
-    conn: u64,
-    response: String,
-}
-
-/// State shared between the event loop, the workers, and the server
-/// handle.
-struct Shared {
-    jobs: Mutex<VecDeque<Job>>,
-    jobs_ready: Condvar,
-    workers_stop: AtomicBool,
-    completions: Mutex<Vec<Completion>>,
-    control: Mutex<Option<Control>>,
-    wake: Wakeup,
-    counters: Arc<NetCounters>,
-}
-
-impl Shared {
-    fn push_control(&self, control: Control) {
-        let mut slot = self.control.lock().unwrap_or_else(PoisonError::into_inner);
-        // Stop outranks Drain; never downgrade.
-        if *slot != Some(Control::Stop) {
-            *slot = Some(control);
-        }
-        drop(slot);
-        self.wake.notify();
-    }
-}
-
-fn worker_loop(shared: &Shared, service: &Service) {
-    loop {
-        let job = {
-            let mut queue = shared.jobs.lock().unwrap_or_else(PoisonError::into_inner);
-            loop {
-                if shared.workers_stop.load(Ordering::SeqCst) {
-                    return;
-                }
-                if let Some(job) = queue.pop_front() {
-                    shared
-                        .counters
-                        .worker_queue_depth
-                        .store(queue.len() as u64, Ordering::Relaxed);
-                    break job;
-                }
-                queue = shared
-                    .jobs_ready
-                    .wait(queue)
-                    .unwrap_or_else(PoisonError::into_inner);
-            }
-        };
-        let response = service.execute_frame(&job.raw);
-        shared
-            .completions
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push(Completion { conn: job.conn, response });
-        shared.wake.notify();
-    }
-}
-
-/// One connection's state machine.
+/// One connection. The registry and a drain share the stream; `state`
+/// is only ever locked by the worker that owns the connection's
+/// current one-shot event, so it is uncontended.
 struct Conn {
     stream: TcpStream,
+    state: Mutex<ConnState>,
+}
+
+struct ConnState {
     decoder: FrameDecoder,
     /// Pending output; `out_pos` is the write cursor (both reset when
     /// fully flushed).
     out: Vec<u8>,
     out_pos: usize,
-    /// Current epoll interest set (to skip redundant `EPOLL_CTL_MOD`s).
-    interest: u32,
-    /// An operation is in flight in the worker pool. At most one per
-    /// connection: preserves pipelined response order and bounds the
-    /// job queue at the number of connections.
-    busy: bool,
-    /// EOF observed (client half-closed, or a server drain half-closed
-    /// the read side). Buffered frames still finish.
+    /// EOF observed (the client half-closed, or a drain half-closed the
+    /// read side). Frames already decoded still get answered.
     read_closed: bool,
-    /// `decoder.finish()` already consumed the final partial frame.
-    finished: bool,
 }
 
-impl Conn {
+impl ConnState {
     fn pending_out(&self) -> usize {
         self.out.len() - self.out_pos
     }
+
+    /// The next decoded event, including the final unterminated frame
+    /// once the read side is closed (`finish` is idempotent once drained).
+    fn next_event(&mut self) -> Option<Decoded> {
+        if self.read_closed {
+            self.decoder.finish()
+        } else {
+            self.decoder.next_event()
+        }
+    }
 }
 
-/// The event-loop state. Owned by the loop thread.
-struct EventLoop {
+/// The open connections, by epoll token.
+struct Registry {
+    conns: HashMap<u64, Arc<Conn>>,
+    next_token: u64,
+    /// A drain began: new connections are refused.
+    draining: bool,
+}
+
+/// State shared by the workers and the server handle.
+struct Reactor {
     epoll: Epoll,
     listener: TcpListener,
-    shared: Arc<Shared>,
-    conns: HashMap<u64, Conn>,
-    next_token: u64,
-    accepting: bool,
-    draining: bool,
+    stop: Wakeup,
+    stopping: AtomicBool,
+    /// The listener hit an accept error and is left disarmed.
+    accept_paused: AtomicBool,
+    registry: Mutex<Registry>,
+    service: Arc<Service>,
+    counters: Arc<NetCounters>,
     max_frame: usize,
     max_write_buffer: usize,
 }
 
-impl EventLoop {
-    fn counters(&self) -> &NetCounters {
-        &self.shared.counters
+impl Reactor {
+    fn registry(&self) -> MutexGuard<'_, Registry> {
+        self.registry.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    fn run(mut self) {
-        let mut events = vec![EpollEvent::default(); MAX_EVENTS];
+    /// Re-arms a one-shot fd. Re-arming the listener fails once a drain
+    /// deregistered it, which callers ignore.
+    fn arm(&self, fd: RawFd, token: u64, events: u32) -> std::io::Result<()> {
+        self.epoll.modify(fd, token, events | EPOLLONESHOT)
+    }
+
+    fn worker(&self) {
+        let mut events = [EpollEvent::default(); 1];
+        let mut chunk = vec![0u8; READ_CHUNK];
+        // When this worker's failed accept left the listener disarmed:
+        // the time to re-arm it, unless a closing connection does first.
+        let mut resume_at = None;
         loop {
-            let n = match self.epoll.wait(&mut events, -1) {
-                Ok(n) => n,
-                Err(_) => return self.teardown(),
+            let timeout = match resume_at {
+                Some(_) => ACCEPT_BACKOFF.as_millis() as i32,
+                None => -1,
             };
-            self.counters().wakeups.fetch_add(1, Ordering::Relaxed);
-            for event in events.iter().take(n) {
-                let (token, revents) = (event.data, event.events);
-                match token {
-                    TOKEN_LISTENER => self.accept_ready(),
-                    TOKEN_WAKE => self.shared.wake.drain(),
-                    _ => self.conn_ready(token, revents),
-                }
-            }
-            self.apply_completions();
-            let control = self
-                .shared
-                .control
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .take();
-            match control {
-                Some(Control::Stop) => return self.teardown(),
-                Some(Control::Drain) => self.begin_drain(),
-                None => {}
-            }
-            if self.draining && self.conns.is_empty() {
+            let Ok(n) = self.epoll.wait(&mut events, timeout) else { return };
+            self.counters.wakeups.fetch_add(1, Ordering::Relaxed);
+            if self.stopping.load(Ordering::SeqCst) {
+                // Pass the wakeup on, in case the kernel woke only us.
+                self.stop.notify();
                 return;
             }
-        }
-    }
-
-    fn teardown(&mut self) {
-        for (_, conn) in self.conns.drain() {
-            self.epoll.del(conn.stream.as_raw_fd());
-        }
-        self.counters().conns_open.store(0, Ordering::Relaxed);
-    }
-
-    /// Accepts until the backlog is empty (level-triggered listener).
-    fn accept_ready(&mut self) {
-        loop {
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    if !self.accepting {
-                        continue; // drain raced an incoming connection
-                    }
-                    if sys::set_nonblocking(stream.as_raw_fd()).is_err() {
-                        continue;
-                    }
-                    stream.set_nodelay(true).ok();
-                    let token = self.next_token;
-                    self.next_token += 1;
-                    let interest = sys::EPOLLIN | sys::EPOLLRDHUP;
-                    if self
-                        .epoll
-                        .add(stream.as_raw_fd(), token, interest)
-                        .is_err()
-                    {
-                        continue;
-                    }
-                    self.conns.insert(
-                        token,
-                        Conn {
-                            stream,
-                            decoder: FrameDecoder::new(self.max_frame),
-                            out: Vec::new(),
-                            out_pos: 0,
-                            interest,
-                            busy: false,
-                            read_closed: false,
-                            finished: false,
-                        },
-                    );
-                    self.counters().conns_accepted.fetch_add(1, Ordering::Relaxed);
-                    self.counters()
-                        .conns_open
-                        .store(self.conns.len() as u64, Ordering::Relaxed);
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                // Transient accept errors (ECONNABORTED, EMFILE, …):
-                // stop this round; the level-triggered listener will
-                // re-fire while the backlog is non-empty.
-                Err(_) => break,
+            if resume_at.is_some_and(|at| Instant::now() >= at) {
+                resume_at = None;
+                self.resume_accepting();
             }
-        }
-    }
-
-    fn conn_ready(&mut self, token: u64, revents: u32) {
-        if !self.conns.contains_key(&token) {
-            return; // closed earlier in this batch
-        }
-        if revents & sys::EPOLLERR != 0 {
-            self.close_conn(token);
-            return;
-        }
-        if revents & sys::EPOLLOUT != 0 && !self.flush(token) {
-            return;
-        }
-        if revents & (sys::EPOLLIN | sys::EPOLLRDHUP | sys::EPOLLHUP) != 0 {
-            self.read_and_pump(token);
-        } else {
-            self.refresh_interest(token);
-            self.maybe_close(token);
-        }
-    }
-
-    /// Reads available bytes and advances the state machine until the
-    /// connection is busy (op in flight), out of input, or closed.
-    fn read_and_pump(&mut self, token: u64) {
-        let mut chunk = [0u8; READ_CHUNK];
-        loop {
-            if !self.pump(token) {
-                return; // closed
-            }
-            let Some(conn) = self.conns.get_mut(&token) else { return };
-            if conn.busy || conn.decoder.has_event() || conn.read_closed {
-                break;
-            }
-            match conn.stream.read(&mut chunk) {
-                Ok(0) => {
-                    conn.read_closed = true;
-                    // Loop once more: pump() surfaces the final
-                    // partial frame via `finish()`.
-                }
-                Ok(n) => conn.decoder.push(&chunk[..n]),
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(_) => {
-                    self.close_conn(token);
-                    return;
-                }
-            }
-        }
-        self.refresh_interest(token);
-        self.maybe_close(token);
-    }
-
-    /// Processes decoded events until one is dispatched to a worker (or
-    /// none remain). Returns false if the connection was closed.
-    fn pump(&mut self, token: u64) -> bool {
-        loop {
-            let Some(conn) = self.conns.get_mut(&token) else { return false };
-            if conn.busy {
-                return true;
-            }
-            let event = match conn.decoder.next_event() {
-                Some(event) => event,
-                None if conn.read_closed && !conn.finished => {
-                    conn.finished = true;
-                    match conn.decoder.finish() {
-                        Some(event) => event,
-                        None => return true,
-                    }
-                }
-                None => return true,
-            };
-            match event {
-                Decoded::TooLarge => {
-                    self.shared
-                        .counters
-                        .frames_oversized
-                        .fetch_add(1, Ordering::Relaxed);
-                    let max = self.max_frame;
-                    let response = err_response(
-                        None,
-                        &WireError::new(
-                            "frame_too_large",
-                            format!("request frame exceeds {max} bytes"),
-                        ),
-                    );
-                    if !self.enqueue_output(token, response.as_bytes()) {
-                        return false;
-                    }
-                }
-                Decoded::Frame(raw) => {
-                    if raw.iter().all(u8::is_ascii_whitespace) {
-                        continue; // blank line between frames
-                    }
-                    conn.busy = true;
-                    self.shared
-                        .counters
-                        .frames_decoded
-                        .fetch_add(1, Ordering::Relaxed);
-                    let mut queue = self
-                        .shared
-                        .jobs
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner);
-                    queue.push_back(Job { conn: token, raw });
-                    self.shared
-                        .counters
-                        .worker_queue_depth
-                        .store(queue.len() as u64, Ordering::Relaxed);
-                    drop(queue);
-                    self.shared.jobs_ready.notify_one();
-                    return true;
-                }
-            }
-        }
-    }
-
-    /// Appends bytes to the connection's output buffer, enforcing the
-    /// backpressure cap, and attempts a flush. Returns false if the
-    /// connection was closed (cap exceeded or write error).
-    fn enqueue_output(&mut self, token: u64, bytes: &[u8]) -> bool {
-        {
-            let Some(conn) = self.conns.get_mut(&token) else { return false };
-            conn.out.extend_from_slice(bytes);
-        }
-        if !self.flush(token) {
-            return false;
-        }
-        // The cap applies to what the socket would not take: a prompt
-        // reader drains through the kernel and never accumulates here,
-        // while a stalled one is disconnected rather than buffered
-        // without bound.
-        let over_cap = self
-            .conns
-            .get(&token)
-            .is_some_and(|conn| conn.pending_out() > self.max_write_buffer);
-        if over_cap {
-            self.shared
-                .counters
-                .write_buffer_disconnects
-                .fetch_add(1, Ordering::Relaxed);
-            self.close_conn(token);
-            return false;
-        }
-        true
-    }
-
-    /// Writes as much pending output as the socket accepts. A partial
-    /// write or `WouldBlock` counts one backpressure stall and arms
-    /// `EPOLLOUT`. Returns false if the connection was closed.
-    fn flush(&mut self, token: u64) -> bool {
-        let close = {
-            let Some(conn) = self.conns.get_mut(&token) else { return false };
-            let mut close = false;
-            while conn.out_pos < conn.out.len() {
-                match conn.stream.write(&conn.out[conn.out_pos..]) {
-                    Ok(0) => {
-                        close = true;
-                        break;
-                    }
-                    Ok(n) => {
-                        conn.out_pos += n;
-                        if conn.out_pos < conn.out.len() {
-                            // Kernel buffer full mid-response.
-                            self.shared
-                                .counters
-                                .backpressure_stalls
-                                .fetch_add(1, Ordering::Relaxed);
-                            break;
-                        }
-                    }
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                        self.shared
-                            .counters
-                            .backpressure_stalls
-                            .fetch_add(1, Ordering::Relaxed);
-                        break;
-                    }
-                    Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                    Err(_) => {
-                        close = true;
-                        break;
-                    }
-                }
-            }
-            if conn.out_pos == conn.out.len() {
-                conn.out.clear();
-                conn.out_pos = 0;
-            }
-            close
-        };
-        if close {
-            self.close_conn(token);
-            return false;
-        }
-        self.refresh_interest(token);
-        true
-    }
-
-    /// Recomputes the epoll interest set from the state machine: read
-    /// only while nothing is pending (bounded accumulation), write only
-    /// while output is stalled.
-    fn refresh_interest(&mut self, token: u64) {
-        let Some(conn) = self.conns.get_mut(&token) else { return };
-        let mut want = sys::EPOLLRDHUP;
-        if !conn.busy && !conn.read_closed && !conn.decoder.has_event() {
-            want |= sys::EPOLLIN;
-        }
-        if conn.out_pos < conn.out.len() {
-            want |= sys::EPOLLOUT;
-        }
-        if want != conn.interest {
-            if self
-                .epoll
-                .modify(conn.stream.as_raw_fd(), token, want)
-                .is_err()
-            {
-                self.close_conn(token);
-                return;
-            }
-            conn.interest = want;
-        }
-    }
-
-    /// Closes the connection once EOF was seen, every buffered frame
-    /// was answered, and the output is flushed.
-    fn maybe_close(&mut self, token: u64) {
-        let Some(conn) = self.conns.get(&token) else { return };
-        if conn.read_closed
-            && conn.finished
-            && !conn.busy
-            && !conn.decoder.has_event()
-            && conn.pending_out() == 0
-        {
-            self.close_conn(token);
-        }
-    }
-
-    fn close_conn(&mut self, token: u64) {
-        if let Some(conn) = self.conns.remove(&token) {
-            self.epoll.del(conn.stream.as_raw_fd());
-        }
-        self.counters()
-            .conns_open
-            .store(self.conns.len() as u64, Ordering::Relaxed);
-    }
-
-    fn apply_completions(&mut self) {
-        let done = std::mem::take(
-            &mut *self
-                .shared
-                .completions
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner),
-        );
-        for Completion { conn: token, response } in done {
-            let Some(conn) = self.conns.get_mut(&token) else {
-                continue; // connection died while the op ran
-            };
-            conn.busy = false;
-            if !self.enqueue_output(token, response.as_bytes()) {
+            if n == 0 {
                 continue;
             }
-            // Resume: next buffered frame, or re-arm EPOLLIN.
-            self.read_and_pump(token);
+            match events[0].data {
+                TOKEN_LISTENER => {
+                    if !self.accept() {
+                        resume_at = Some(Instant::now() + ACCEPT_BACKOFF);
+                    }
+                }
+                TOKEN_STOP => {}
+                token => self.serve(token, &mut chunk),
+            }
         }
     }
 
-    /// Graceful drain: stop accepting, half-close every read side.
-    /// Already-received frames (including in-flight ops) finish and
-    /// flush; then each connection closes.
-    fn begin_drain(&mut self) {
-        if self.draining {
+    /// Accepts until the backlog is empty, then re-arms the listener.
+    /// Returns false if an accept error left it disarmed instead.
+    fn accept(&self) -> bool {
+        loop {
+            match self.listener.accept() {
+                Ok((stream, _)) => self.register(stream),
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                    let _ = self.arm(self.listener.as_raw_fd(), TOKEN_LISTENER, EPOLLIN);
+                    return true;
+                }
+                // Out of descriptors (EMFILE, ENFILE) or another accept
+                // failure: back off with the listener disarmed.
+                Err(_) => {
+                    self.accept_paused.store(true, Ordering::SeqCst);
+                    return false;
+                }
+            }
+        }
+    }
+
+    /// Ends an accept back-off: called when a connection closes (which
+    /// frees a descriptor) or when the back-off has passed.
+    fn resume_accepting(&self) {
+        if self.accept_paused.swap(false, Ordering::SeqCst) {
+            let _ = self.arm(self.listener.as_raw_fd(), TOKEN_LISTENER, EPOLLIN);
+        }
+    }
+
+    fn register(&self, stream: TcpStream) {
+        if stream.set_nonblocking(true).is_err() {
             return;
         }
-        self.draining = true;
-        self.accepting = false;
-        self.epoll.del(self.listener.as_raw_fd());
-        let tokens: Vec<u64> = self.conns.keys().copied().collect();
-        for token in tokens {
-            if let Some(conn) = self.conns.get_mut(&token) {
-                let _ = conn.stream.shutdown(std::net::Shutdown::Read);
-                conn.read_closed = true;
-            }
-            self.read_and_pump(token);
+        stream.set_nodelay(true).ok();
+        let fd = stream.as_raw_fd();
+        let mut registry = self.registry();
+        if registry.draining {
+            return; // a drain raced an incoming connection
         }
+        let token = registry.next_token;
+        registry.next_token += 1;
+        let state = ConnState {
+            decoder: FrameDecoder::new(self.max_frame),
+            out: Vec::new(),
+            out_pos: 0,
+            read_closed: false,
+        };
+        registry
+            .conns
+            .insert(token, Arc::new(Conn { stream, state: Mutex::new(state) }));
+        if self.epoll.add(fd, token, EPOLLIN | EPOLLONESHOT).is_err() {
+            registry.conns.remove(&token);
+            return;
+        }
+        self.counters.conns_accepted.fetch_add(1, Ordering::Relaxed);
+        self.counters.conns_open.store(registry.conns.len() as u64, Ordering::Relaxed);
+    }
+
+    /// Serves the connection behind a one-shot event, then re-arms or
+    /// closes it.
+    fn serve(&self, token: u64, chunk: &mut [u8]) {
+        let Some(conn) = self.registry().conns.get(&token).cloned() else { return };
+        let interest = {
+            let mut state = conn.state.lock().unwrap_or_else(PoisonError::into_inner);
+            self.pump(&conn.stream, &mut state, chunk)
+        };
+        let rearmed = interest
+            .is_some_and(|events| self.arm(conn.stream.as_raw_fd(), token, events).is_ok());
+        if !rearmed {
+            self.close(token);
+        }
+    }
+
+    /// Takes one turn on the connection: flushes, reads at most one
+    /// chunk, answers every frame decoded so far in order. Returns the
+    /// events to re-arm, or `None` once the connection is finished (EOF,
+    /// every frame answered, output flushed) or failed. One chunk per
+    /// turn keeps the pool fair: re-arming a connection that is still
+    /// readable queues it behind every other ready one, so a client that
+    /// keeps its socket full cannot hold a worker.
+    fn pump(&self, mut stream: &TcpStream, state: &mut ConnState, chunk: &mut [u8]) -> Option<u32> {
+        self.flush(stream, state)?;
+        if !state.read_closed && !self.stopping.load(Ordering::Relaxed) {
+            match stream.read(chunk) {
+                Ok(0) => state.read_closed = true,
+                Ok(n) => state.decoder.push(&chunk[..n]),
+                // Spurious or interrupted: re-arming re-checks readiness.
+                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::Interrupted) => {}
+                Err(_) => return None,
+            }
+        }
+        while let Some(event) = state.next_event() {
+            let Some(response) = self.respond(event) else { continue };
+            state.out.extend_from_slice(response.as_bytes());
+            self.flush(stream, state)?;
+            // The cap applies to what the socket would not take: a
+            // prompt reader drains through the kernel and never
+            // accumulates here, while a stalled one is disconnected
+            // rather than buffered without bound.
+            if state.pending_out() > self.max_write_buffer {
+                self.counters.write_buffer_disconnects.fetch_add(1, Ordering::Relaxed);
+                return None;
+            }
+        }
+        let stalled = state.pending_out() > 0;
+        match (state.read_closed, stalled) {
+            (true, false) => None,
+            // Nothing more to read: wait only for the socket to drain.
+            (true, true) => Some(EPOLLOUT),
+            (false, false) => Some(EPOLLIN),
+            (false, true) => Some(EPOLLIN | EPOLLOUT),
+        }
+    }
+
+    /// The response to one decoded event; `None` for a blank line.
+    fn respond(&self, event: Decoded) -> Option<String> {
+        match event {
+            Decoded::TooLarge => {
+                self.counters.frames_oversized.fetch_add(1, Ordering::Relaxed);
+                let max = self.max_frame;
+                Some(err_response(
+                    None,
+                    &WireError::new(
+                        "frame_too_large",
+                        format!("request frame exceeds {max} bytes"),
+                    ),
+                ))
+            }
+            Decoded::Frame(raw) if raw.iter().all(u8::is_ascii_whitespace) => None,
+            Decoded::Frame(raw) => {
+                self.counters.frames_decoded.fetch_add(1, Ordering::Relaxed);
+                Some(self.service.execute_frame(&raw))
+            }
+        }
+    }
+
+    /// Writes pending output until the socket stops taking it. A write
+    /// the socket took only part of, or none of, counts one
+    /// backpressure stall. `None` on a write error.
+    fn flush(&self, mut stream: &TcpStream, state: &mut ConnState) -> Option<()> {
+        while state.out_pos < state.out.len() {
+            match stream.write(&state.out[state.out_pos..]) {
+                Ok(0) => return None,
+                Ok(n) => {
+                    state.out_pos += n;
+                    if state.out_pos < state.out.len() {
+                        self.counters.backpressure_stalls.fetch_add(1, Ordering::Relaxed);
+                        break;
+                    }
+                }
+                Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                    self.counters.backpressure_stalls.fetch_add(1, Ordering::Relaxed);
+                    break;
+                }
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(_) => return None,
+            }
+        }
+        if state.out_pos == state.out.len() {
+            state.out.clear();
+            state.out_pos = 0;
+        }
+        Some(())
+    }
+
+    /// Forgets a connection; its socket closes once the last reference
+    /// drops, which also removes it from the epoll set.
+    fn close(&self, token: u64) {
+        let mut registry = self.registry();
+        registry.conns.remove(&token);
+        self.counters.conns_open.store(registry.conns.len() as u64, Ordering::Relaxed);
+        drop(registry);
+        self.resume_accepting();
     }
 }
 
-/// A running reactor: the event-loop thread plus its worker pool.
+/// A running runtime: the shared state plus the worker threads.
 pub(crate) struct Handle {
-    shared: Arc<Shared>,
-    loop_thread: Option<JoinHandle<()>>,
+    reactor: Arc<Reactor>,
     workers: Vec<JoinHandle<()>>,
 }
 
 impl Handle {
-    /// Starts the event loop and `workers` protocol workers over an
-    /// already-bound listener.
+    /// Starts `workers` threads on a shared epoll over an already-bound
+    /// listener.
     ///
     /// # Errors
     /// Propagates epoll/eventfd setup failures.
@@ -820,66 +578,61 @@ impl Handle {
     ) -> std::io::Result<Handle> {
         listener.set_nonblocking(true)?;
         let epoll = Epoll::new()?;
-        let wake = Wakeup::new()?;
-        epoll.add(listener.as_raw_fd(), TOKEN_LISTENER, sys::EPOLLIN)?;
-        epoll.add(wake.raw_fd(), TOKEN_WAKE, sys::EPOLLIN)?;
-        let shared = Arc::new(Shared {
-            jobs: Mutex::new(VecDeque::new()),
-            jobs_ready: Condvar::new(),
-            workers_stop: AtomicBool::new(false),
-            completions: Mutex::new(Vec::new()),
-            control: Mutex::new(None),
-            wake,
-            counters: Arc::clone(service.net_counters()),
-        });
-        let worker_handles: Vec<JoinHandle<()>> = (0..workers.max(1))
-            .map(|_| {
-                let shared = Arc::clone(&shared);
-                let service = Arc::clone(&service);
-                std::thread::spawn(move || worker_loop(&shared, &service))
-            })
-            .collect();
+        let stop = Wakeup::new()?;
+        epoll.add(listener.as_raw_fd(), TOKEN_LISTENER, EPOLLIN | EPOLLONESHOT)?;
+        epoll.add(stop.raw_fd(), TOKEN_STOP, EPOLLIN)?;
         let config = service.config();
-        let event_loop = EventLoop {
+        let reactor = Arc::new(Reactor {
             epoll,
             listener,
-            shared: Arc::clone(&shared),
-            conns: HashMap::new(),
-            next_token: TOKEN_CONN0,
-            accepting: true,
-            draining: false,
+            stop,
+            stopping: AtomicBool::new(false),
+            accept_paused: AtomicBool::new(false),
+            registry: Mutex::new(Registry {
+                conns: HashMap::new(),
+                next_token: TOKEN_CONN0,
+                draining: false,
+            }),
+            counters: Arc::clone(service.net_counters()),
             max_frame: config.max_frame_bytes,
             max_write_buffer: config.max_write_buffer_bytes,
-        };
-        let loop_thread = std::thread::spawn(move || event_loop.run());
-        Ok(Handle { shared, loop_thread: Some(loop_thread), workers: worker_handles })
+            service: Arc::clone(&service),
+        });
+        let workers = (0..workers.max(1))
+            .map(|_| {
+                let reactor = Arc::clone(&reactor);
+                std::thread::spawn(move || reactor.worker())
+            })
+            .collect();
+        Ok(Handle { reactor, workers })
     }
 
-    /// Asks the loop to drain gracefully (see [`EventLoop::begin_drain`]).
+    /// Graceful drain: stop accepting and half-close every read side.
+    /// Frames already received (including those executing) finish and
+    /// flush; then each connection sees EOF and closes.
     pub fn request_drain(&self) {
-        self.shared.push_control(Control::Drain);
+        let mut registry = self.reactor.registry();
+        registry.draining = true;
+        self.reactor.epoll.del(self.reactor.listener.as_raw_fd());
+        for conn in registry.conns.values() {
+            let _ = conn.stream.shutdown(Shutdown::Read);
+        }
     }
 
-    /// Asks the loop to tear down immediately.
-    pub fn request_stop(&self) {
-        self.shared.push_control(Control::Stop);
-    }
-
-    /// Open connections right now (the loop's gauge).
+    /// Open connections right now.
     pub fn conns_open(&self) -> u64 {
-        self.shared.counters.conns_open.load(Ordering::Relaxed)
+        self.reactor.counters.conns_open.load(Ordering::Relaxed)
     }
 
-    /// Joins the event loop, then stops and joins the workers.
-    pub fn join_all(&mut self) {
-        if let Some(handle) = self.loop_thread.take() {
+    /// Stops the workers and joins them, then closes the listener and
+    /// every remaining connection.
+    pub fn stop(self) {
+        self.reactor.stopping.store(true, Ordering::SeqCst);
+        self.reactor.stop.notify();
+        for handle in self.workers {
             let _ = handle.join();
         }
-        self.shared.workers_stop.store(true, Ordering::SeqCst);
-        self.shared.jobs_ready.notify_all();
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
-        }
+        self.reactor.counters.conns_open.store(0, Ordering::Relaxed);
     }
 }
 
@@ -888,10 +641,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn wakeup_makes_an_epoll_wait_return() {
+    fn a_oneshot_fd_fires_once_until_rearmed() {
         let epoll = Epoll::new().unwrap();
         let wake = Wakeup::new().unwrap();
-        epoll.add(wake.raw_fd(), 7, sys::EPOLLIN).unwrap();
+        epoll.add(wake.raw_fd(), 7, EPOLLIN | EPOLLONESHOT).unwrap();
         let mut events = [EpollEvent::default(); 4];
         // Nothing pending: a zero-timeout wait returns no events.
         assert_eq!(epoll.wait(&mut events, 0).unwrap(), 0);
@@ -899,9 +652,11 @@ mod tests {
         assert_eq!(epoll.wait(&mut events, 1000).unwrap(), 1);
         let data = events[0].data;
         assert_eq!(data, 7);
-        // Drained, the fd stops polling readable.
-        wake.drain();
+        // Still readable, but disarmed: no second event.
         assert_eq!(epoll.wait(&mut events, 0).unwrap(), 0);
+        // Re-arming an fd that is still ready fires at once.
+        epoll.modify(wake.raw_fd(), 7, EPOLLIN | EPOLLONESHOT).unwrap();
+        assert_eq!(epoll.wait(&mut events, 0).unwrap(), 1);
     }
 
     #[test]

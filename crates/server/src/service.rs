@@ -111,30 +111,7 @@ pub enum StoreMode {
     Follower,
 }
 
-/// How the server multiplexes connections onto threads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NetMode {
-    /// One OS thread per connection (the legacy default). Simple and
-    /// portable; costs a thread per *connected* client.
-    Threads,
-    /// A single epoll event-loop thread plus a fixed worker pool
-    /// (`net_workers`); holds tens of thousands of idle connections on
-    /// a handful of threads. Linux only.
-    Reactor,
-}
-
-impl NetMode {
-    /// The stable wire label (`health`/`stats` responses, CLI flag).
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            NetMode::Threads => "threads",
-            NetMode::Reactor => "reactor",
-        }
-    }
-}
-
-/// Network-layer counters, shared between the accept/event loop and the
+/// Network-layer counters, shared between the network runtime and the
 /// service so `health`/`stats` can surface them. All updated with
 /// relaxed ordering — they are monitoring data, not synchronization.
 #[derive(Debug, Default)]
@@ -147,21 +124,16 @@ pub struct NetCounters {
     pub frames_decoded: AtomicU64,
     /// Over-cap lines discarded to their newline (`frame_too_large`).
     pub frames_oversized: AtomicU64,
-    /// Reactor mode: writes that could not complete in one call and
-    /// re-armed `EPOLLOUT` instead of blocking a thread.
+    /// Writes that could not complete in one call and re-armed
+    /// `EPOLLOUT` instead of blocking a thread.
     pub backpressure_stalls: AtomicU64,
-    /// Reactor mode: connections dropped because a non-reading client
-    /// let its output buffer exceed `max_write_buffer_bytes`.
+    /// Connections dropped because a non-reading client let its output
+    /// buffer exceed `max_write_buffer_bytes`.
     pub write_buffer_disconnects: AtomicU64,
-    /// Threads mode: connections dropped because a blocking write sat
-    /// longer than `write_timeout`.
-    pub write_timeout_disconnects: AtomicU64,
-    /// Reactor mode: `epoll_wait` returns (bounded by traffic, never by
-    /// wall clock — there is no timer tick).
+    /// `epoll_wait` returns across all workers (bounded by traffic,
+    /// never by wall clock — the only timeout is the 1 ms back-off of
+    /// a failed accept).
     pub wakeups: AtomicU64,
-    /// Reactor mode: decoded frames queued for the worker pool right
-    /// now (gauge; bounded by open connections).
-    pub worker_queue_depth: AtomicU64,
 }
 
 /// Server-wide configuration.
@@ -191,17 +163,11 @@ pub struct ServerConfig {
     /// another process may take it over. The keeper renews well inside
     /// this (every `lease_ttl / 4`, floored at 25ms).
     pub lease_ttl: Duration,
-    /// Thread-per-connection (`Threads`, the default) or the epoll
-    /// reactor (`Reactor`).
-    pub net_mode: NetMode,
-    /// Reactor mode: protocol workers executing ops off the event loop.
+    /// Network worker threads; each owns the connection it was woken
+    /// for while it reads, executes and writes.
     pub net_workers: NonZeroUsize,
-    /// Threads mode: how long one blocking response write may stall on
-    /// a slow client before the connection is dropped (`None` = block
-    /// forever, the pre-reactor behavior).
-    pub write_timeout: Option<Duration>,
-    /// Reactor mode: bytes of unsent output a connection may
-    /// accumulate before it is disconnected as a non-reader.
+    /// Bytes of unsent output a connection may accumulate before it is
+    /// disconnected as a non-reader.
     pub max_write_buffer_bytes: usize,
 }
 
@@ -216,9 +182,7 @@ impl Default for ServerConfig {
             allow_remote_shutdown: false,
             store_mode: StoreMode::Leader,
             lease_ttl: Duration::from_secs(2),
-            net_mode: NetMode::Threads,
             net_workers: NonZeroUsize::new(4).unwrap_or(NonZeroUsize::MIN),
-            write_timeout: Some(Duration::from_secs(30)),
             max_write_buffer_bytes: 8 << 20,
         }
     }
@@ -397,8 +361,7 @@ pub struct Service {
     /// binary waits on this and then drains gracefully.
     shutdown_flag: Mutex<bool>,
     shutdown_ready: Condvar,
-    /// Network-layer counters, updated by whichever net runtime
-    /// (threads accept loop or epoll reactor) carries this service.
+    /// Network-layer counters, updated by the network runtime.
     net: Arc<NetCounters>,
 }
 
@@ -498,9 +461,8 @@ impl Service {
 
     /// Decodes and dispatches one raw frame, always producing exactly
     /// one response line. This is the full protocol boundary — UTF-8
-    /// check, JSON parse, request parse, dispatch — factored out of the
-    /// connection's thread so any execution context (a per-connection
-    /// thread or a reactor worker) can run ops identically.
+    /// check, JSON parse, request parse, dispatch — independent of the
+    /// network runtime, so in-process callers run ops identically.
     #[must_use]
     pub fn execute_frame(&self, raw: &[u8]) -> String {
         let text = match std::str::from_utf8(raw) {
@@ -1412,15 +1374,10 @@ impl Service {
             ("disk_ccs_hits", Json::UInt(stats.disk_ccs_hits)),
             ("disk_writes", Json::UInt(stats.disk_writes)),
             ("disk_write_failures", Json::UInt(stats.disk_write_failures)),
-            ("net_mode", s(self.config.net_mode.label())),
             ("net_conns_open", Json::UInt(self.net.conns_open.load(Ordering::Relaxed))),
             (
                 "net_backpressure_stalls",
                 Json::UInt(self.net.backpressure_stalls.load(Ordering::Relaxed)),
-            ),
-            (
-                "net_worker_queue_depth",
-                Json::UInt(self.net.worker_queue_depth.load(Ordering::Relaxed)),
             ),
         ];
         if let Some(ops) = journal_ops {
@@ -1517,14 +1474,13 @@ impl Service {
         )
     }
 
-    /// The `health` response's `net` object: mode, worker-pool size,
-    /// and every [`NetCounters`] field. Lets the fleet sweeps observe
-    /// the reactor (open connections, backpressure stalls, queue depth)
-    /// through the same ops they already poll.
+    /// The `health` response's `net` object: worker-pool size and every
+    /// [`NetCounters`] field. Lets the fleet sweeps observe the network
+    /// runtime (open connections, backpressure stalls, wakeups) through
+    /// the same ops they already poll.
     fn net_json(&self) -> Json {
         let n = &self.net;
         obj(vec![
-            ("mode", s(self.config.net_mode.label())),
             ("workers", Json::UInt(self.config.net_workers.get() as u64)),
             ("conns_accepted", Json::UInt(n.conns_accepted.load(Ordering::Relaxed))),
             ("conns_open", Json::UInt(n.conns_open.load(Ordering::Relaxed))),
@@ -1538,15 +1494,7 @@ impl Service {
                 "write_buffer_disconnects",
                 Json::UInt(n.write_buffer_disconnects.load(Ordering::Relaxed)),
             ),
-            (
-                "write_timeout_disconnects",
-                Json::UInt(n.write_timeout_disconnects.load(Ordering::Relaxed)),
-            ),
             ("wakeups", Json::UInt(n.wakeups.load(Ordering::Relaxed))),
-            (
-                "worker_queue_depth",
-                Json::UInt(n.worker_queue_depth.load(Ordering::Relaxed)),
-            ),
         ])
     }
 

@@ -7,9 +7,9 @@
 mod common;
 
 use car_server::json::{parse, Json};
-use car_server::service::{NetMode, ServerConfig};
+use car_server::service::ServerConfig;
 use car_server::Client;
-use common::{net_modes, spawn_mode};
+use common::spawn_server;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -61,15 +61,8 @@ fn first_answer(v: &Json) -> &Json {
 
 #[test]
 fn saturated_queue_degrades_to_admission_unknowns_and_recovers() {
-    // Reactor mode relies on the worker pool (default 4) to run the
-    // hog's drain and the probe's query concurrently, same as two
-    // connection threads do in threads mode.
-    for mode in net_modes() {
-        saturated_queue_in(mode);
-    }
-}
-
-fn saturated_queue_in(mode: NetMode) {
+    // The worker pool (default 4) runs the hog's drain and the probe's
+    // query concurrently, on the two connections' own workers.
     let mut config = ServerConfig::default();
     config.quota.deadline = None;
     config.quota.max_items = None;
@@ -79,7 +72,7 @@ fn saturated_queue_in(mode: NetMode) {
     // drain busy for a meaningful window.
     config.quota.workspace_limits.bundle_cache_cap = 0;
     config.quota.workspace_limits.cluster_cache_cap = 0;
-    let mut server = spawn_mode(config, mode);
+    let mut server = spawn_server(config);
     let addr = server.addr();
 
     let schema = php_schema(2, 4);

@@ -7,29 +7,13 @@
 use car_core::{ReasonerConfig, Workspace};
 use car_server::json::{obj, s, to_string, Json};
 use car_server::protocol::{answer_json, unknown_answer, WireDelta, WireQuery};
-use car_server::service::{NetMode, ServerConfig};
+use car_server::service::ServerConfig;
 use car_server::Server;
 
-/// The net modes this platform can exercise: both on Linux, only the
-/// portable thread-per-connection runtime elsewhere. Suites loop over
-/// this so every protocol behavior is proven bit-identical across
-/// modes.
-#[allow(dead_code)] // not every suite is mode-parameterized
+/// Spawns a server on an ephemeral port.
+#[allow(dead_code)] // not used by every suite
 #[must_use]
-pub fn net_modes() -> Vec<NetMode> {
-    if cfg!(target_os = "linux") {
-        vec![NetMode::Threads, NetMode::Reactor]
-    } else {
-        vec![NetMode::Threads]
-    }
-}
-
-/// Spawns a server on an ephemeral port with `config` switched to the
-/// given net mode.
-#[allow(dead_code)]
-#[must_use]
-pub fn spawn_mode(mut config: ServerConfig, mode: NetMode) -> Server {
-    config.net_mode = mode;
+pub fn spawn_server(config: ServerConfig) -> Server {
     Server::spawn("127.0.0.1:0", config).expect("server binds")
 }
 

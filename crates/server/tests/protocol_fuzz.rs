@@ -12,9 +12,9 @@
 mod common;
 
 use car_server::json::{parse, Json};
-use car_server::service::{NetMode, ServerConfig};
+use car_server::service::ServerConfig;
 use car_server::{Client, Server};
-use common::{apply_frame, net_modes, open_frame, query_frame, spawn_mode, Shadow, SCHEMA};
+use common::{apply_frame, open_frame, query_frame, spawn_server, Shadow, SCHEMA};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -22,12 +22,12 @@ use rand::{Rng, SeedableRng};
 /// are cheap, large enough for every legitimate generated frame.
 const FRAME_CAP: usize = 4096;
 
-fn fuzz_server(mode: NetMode) -> Server {
+fn fuzz_server() -> Server {
     let mut config = ServerConfig::default();
     config.quota.deadline = None;
     config.quota.max_items = None;
     config.max_frame_bytes = FRAME_CAP;
-    spawn_mode(config, mode)
+    spawn_server(config)
 }
 
 /// A corrupt frame and the error kind it must provoke.
@@ -216,16 +216,14 @@ fn fuzz_queries(rng: &mut SmallRng) -> Vec<car_server::protocol::WireQuery> {
 }
 
 fn run_fuzz(connections: u64, iterations: u32) {
-    for mode in net_modes() {
-        let mut server = fuzz_server(mode);
-        let addr = server.addr();
-        std::thread::scope(|scope| {
-            for c in 0..connections {
-                scope.spawn(move || fuzz_session(addr, c, iterations));
-            }
-        });
-        server.stop();
-    }
+    let mut server = fuzz_server();
+    let addr = server.addr();
+    std::thread::scope(|scope| {
+        for c in 0..connections {
+            scope.spawn(move || fuzz_session(addr, c, iterations));
+        }
+    });
+    server.stop();
 }
 
 #[test]
@@ -248,36 +246,32 @@ fn fuzz_sixteen_connections() {
 /// sees EOF.
 #[test]
 fn truncated_final_line_is_still_answered() {
-    for mode in net_modes() {
-        let mut server = fuzz_server(mode);
-        let mut client = Client::connect(server.addr()).unwrap();
-        client.send_raw(br#"{"op":"ping","id":5}"#).unwrap();
-        client.shutdown_write();
-        let rest = client.drain();
-        let v = response_json(&rest);
-        assert_eq!(v.get("ok"), Some(&Json::Bool(true)), "{mode:?}");
-        assert_eq!(v.get("id"), Some(&Json::UInt(5)), "{mode:?}");
-        server.stop();
-    }
+    let mut server = fuzz_server();
+    let mut client = Client::connect(server.addr()).unwrap();
+    client.send_raw(br#"{"op":"ping","id":5}"#).unwrap();
+    client.shutdown_write();
+    let rest = client.drain();
+    let v = response_json(&rest);
+    assert_eq!(v.get("ok"), Some(&Json::Bool(true)));
+    assert_eq!(v.get("id"), Some(&Json::UInt(5)));
+    server.stop();
 }
 
 /// Abruptly dropped connections (mid-burst) must not wedge the server.
 #[test]
 fn dropped_connections_leave_the_server_healthy() {
-    for mode in net_modes() {
-        let mut server = fuzz_server(mode);
-        for seed in 0..8u64 {
-            let mut rng = SmallRng::seed_from_u64(seed);
-            let mut client = Client::connect(server.addr()).unwrap();
-            let _ = client.send(&open_frame("w", 0, SCHEMA));
-            for i in 0..rng.gen_range(1u64..5) {
-                let _ = client.send(&query_frame("w", i, &fuzz_queries(&mut rng)));
-            }
-            drop(client); // vanish without reading responses
-        }
+    let mut server = fuzz_server();
+    for seed in 0..8u64 {
+        let mut rng = SmallRng::seed_from_u64(seed);
         let mut client = Client::connect(server.addr()).unwrap();
-        let resp = client.roundtrip(r#"{"op":"ping"}"#).unwrap();
-        assert_eq!(response_json(&resp).get("ok"), Some(&Json::Bool(true)), "{mode:?}");
-        server.stop();
+        let _ = client.send(&open_frame("w", 0, SCHEMA));
+        for i in 0..rng.gen_range(1u64..5) {
+            let _ = client.send(&query_frame("w", i, &fuzz_queries(&mut rng)));
+        }
+        drop(client); // vanish without reading responses
     }
+    let mut client = Client::connect(server.addr()).unwrap();
+    let resp = client.roundtrip(r#"{"op":"ping"}"#).unwrap();
+    assert_eq!(response_json(&resp).get("ok"), Some(&Json::Bool(true)));
+    server.stop();
 }

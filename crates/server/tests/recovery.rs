@@ -10,9 +10,9 @@ mod common;
 use car_core::persist::fault;
 use car_server::json::{parse, Json};
 use car_server::protocol::{WireDelta, WireQuery};
-use car_server::service::{NetMode, ServerConfig};
+use car_server::service::ServerConfig;
 use car_server::{Client, Server};
-use common::{apply_frame, net_modes, open_frame, query_frame, spawn_mode, Shadow, SCHEMA};
+use common::{apply_frame, open_frame, query_frame, spawn_server, Shadow, SCHEMA};
 use std::path::{Path, PathBuf};
 
 fn scratch(name: &str) -> PathBuf {
@@ -22,19 +22,14 @@ fn scratch(name: &str) -> PathBuf {
     dir
 }
 
-/// Per-mode scratch dir: mode passes must not share durable state.
-fn scratch_mode(name: &str, mode: NetMode) -> PathBuf {
-    scratch(&format!("{name}-{}", mode.label()))
-}
-
 /// An unbudgeted server persisting into `data_dir`, so answers are
 /// deterministic and survive restarts.
-fn durable_server(data_dir: &Path, mode: NetMode) -> Server {
+fn durable_server(data_dir: &Path) -> Server {
     let mut config = ServerConfig::default();
     config.quota.deadline = None;
     config.quota.max_items = None;
     config.data_dir = Some(data_dir.to_owned());
-    spawn_mode(config, mode)
+    spawn_server(config)
 }
 
 fn ok(resp: &str) -> Json {
@@ -106,15 +101,9 @@ fn stat(v: &Json, key: &str) -> u64 {
 
 #[test]
 fn crash_recovery_replays_the_journal_bit_identically() {
-    for mode in net_modes() {
-        crash_recovery_replays_the_journal_bit_identically_in(mode);
-    }
-}
+    let data = scratch("crash");
 
-fn crash_recovery_replays_the_journal_bit_identically_in(mode: NetMode) {
-    let data = scratch_mode("crash", mode);
-
-    let mut first = durable_server(&data, mode);
+    let mut first = durable_server(&data);
     let mut client = Client::connect(first.addr()).unwrap();
     let before = run_script(&mut client, "w");
     assert_eq!(before, shadow_answers());
@@ -124,7 +113,7 @@ fn crash_recovery_replays_the_journal_bit_identically_in(mode: NetMode) {
     drop(client);
     drop(first);
 
-    let mut second = durable_server(&data, mode);
+    let mut second = durable_server(&data);
     let report = second.service().recovery_report();
     assert_eq!(report.workspaces_recovered, 1, "{report:?}");
     assert_eq!(report.ops_replayed, 4, "2 deltas + undo + redo: {report:?}");
@@ -154,15 +143,9 @@ fn crash_recovery_replays_the_journal_bit_identically_in(mode: NetMode) {
 
 #[test]
 fn graceful_shutdown_snapshots_so_recovery_replays_nothing() {
-    for mode in net_modes() {
-        graceful_shutdown_snapshots_so_recovery_replays_nothing_in(mode);
-    }
-}
+    let data = scratch("graceful");
 
-fn graceful_shutdown_snapshots_so_recovery_replays_nothing_in(mode: NetMode) {
-    let data = scratch_mode("graceful", mode);
-
-    let mut first = durable_server(&data, mode);
+    let mut first = durable_server(&data);
     let mut client = Client::connect(first.addr()).unwrap();
     let before = run_script(&mut client, "w");
     let snapshots = first.shutdown();
@@ -171,7 +154,7 @@ fn graceful_shutdown_snapshots_so_recovery_replays_nothing_in(mode: NetMode) {
     drop(client);
     drop(first);
 
-    let mut second = durable_server(&data, mode);
+    let mut second = durable_server(&data);
     let report = second.service().recovery_report();
     assert_eq!(report.workspaces_recovered, 1, "{report:?}");
     assert_eq!(report.ops_replayed, 0, "a drained server leaves no journal tail: {report:?}");
@@ -185,13 +168,7 @@ fn graceful_shutdown_snapshots_so_recovery_replays_nothing_in(mode: NetMode) {
 
 #[test]
 fn remote_shutdown_is_forbidden_by_default() {
-    for mode in net_modes() {
-        remote_shutdown_is_forbidden_by_default_in(mode);
-    }
-}
-
-fn remote_shutdown_is_forbidden_by_default_in(mode: NetMode) {
-    let mut server = durable_server(&scratch_mode("noshutdown", mode), mode);
+    let mut server = durable_server(&scratch("noshutdown"));
     let mut client = Client::connect(server.addr()).unwrap();
     assert_eq!(err_kind(&client.roundtrip(r#"{"op":"shutdown","id":1}"#).unwrap()), "forbidden");
     // The connection and service are unaffected.
@@ -202,19 +179,13 @@ fn remote_shutdown_is_forbidden_by_default_in(mode: NetMode) {
 
 #[test]
 fn remote_shutdown_drains_and_snapshots_when_allowed() {
-    for mode in net_modes() {
-        remote_shutdown_drains_and_snapshots_when_allowed_in(mode);
-    }
-}
-
-fn remote_shutdown_drains_and_snapshots_when_allowed_in(mode: NetMode) {
-    let data = scratch_mode("remote-shutdown", mode);
+    let data = scratch("remote-shutdown");
     let mut config = ServerConfig::default();
     config.quota.deadline = None;
     config.quota.max_items = None;
     config.data_dir = Some(data.clone());
     config.allow_remote_shutdown = true;
-    let mut server = spawn_mode(config, mode);
+    let mut server = spawn_server(config);
 
     let mut client = Client::connect(server.addr()).unwrap();
     let before = run_script(&mut client, "w");
@@ -226,7 +197,7 @@ fn remote_shutdown_drains_and_snapshots_when_allowed_in(mode: NetMode) {
     drop(client);
     drop(server);
 
-    let mut second = durable_server(&data, mode);
+    let mut second = durable_server(&data);
     let report = second.service().recovery_report();
     assert_eq!(report.workspaces_recovered, 1, "{report:?}");
     assert_eq!(report.ops_replayed, 0, "{report:?}");
@@ -238,15 +209,9 @@ fn remote_shutdown_drains_and_snapshots_when_allowed_in(mode: NetMode) {
 
 #[test]
 fn corrupt_workspace_dir_is_skipped_without_harming_the_rest() {
-    for mode in net_modes() {
-        corrupt_workspace_dir_is_skipped_without_harming_the_rest_in(mode);
-    }
-}
+    let data = scratch("skipdir");
 
-fn corrupt_workspace_dir_is_skipped_without_harming_the_rest_in(mode: NetMode) {
-    let data = scratch_mode("skipdir", mode);
-
-    let mut first = durable_server(&data, mode);
+    let mut first = durable_server(&data);
     let mut client = Client::connect(first.addr()).unwrap();
     let good_answers = run_script(&mut client, "good");
     let _ = run_script(&mut client, "bad");
@@ -271,7 +236,7 @@ fn corrupt_workspace_dir_is_skipped_without_harming_the_rest_in(mode: NetMode) {
     }
     assert!(torn > 0, "no snapshot file found to corrupt in {bad_dir:?}");
 
-    let mut second = durable_server(&data, mode);
+    let mut second = durable_server(&data);
     let report = second.service().recovery_report();
     assert_eq!(report.workspaces_recovered, 1, "{report:?}");
     assert_eq!(report.dirs_skipped, 1, "{report:?}");
@@ -291,14 +256,8 @@ fn corrupt_workspace_dir_is_skipped_without_harming_the_rest_in(mode: NetMode) {
 /// recovered workspaces answer queries without replay failures.
 #[test]
 fn killing_the_server_mid_load_loses_no_acknowledged_edit() {
-    for mode in net_modes() {
-        killing_the_server_mid_load_loses_no_acknowledged_edit_in(mode);
-    }
-}
-
-fn killing_the_server_mid_load_loses_no_acknowledged_edit_in(mode: NetMode) {
-    let data = scratch_mode("midload", mode);
-    let mut first = durable_server(&data, mode);
+    let data = scratch("midload");
+    let mut first = durable_server(&data);
     let addr = first.addr();
 
     let workers: Vec<_> = (0..3)
@@ -333,7 +292,7 @@ fn killing_the_server_mid_load_loses_no_acknowledged_edit_in(mode: NetMode) {
     drop(first);
     let acked: Vec<(String, u64)> = workers.into_iter().map(|w| w.join().unwrap()).collect();
 
-    let mut second = durable_server(&data, mode);
+    let mut second = durable_server(&data);
     let report = second.service().recovery_report();
     assert_eq!(report.workspaces_recovered, 3, "{report:?}");
     assert_eq!(report.replay_failures, 0, "{report:?}");

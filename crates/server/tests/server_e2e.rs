@@ -7,19 +7,19 @@ mod common;
 use car_core::syntax::Card;
 use car_server::json::{parse, Json};
 use car_server::protocol::{WireDelta, WireQuery};
-use car_server::service::{NetMode, ServerConfig};
+use car_server::service::ServerConfig;
 use car_server::{Client, Server};
-use common::{apply_frame, net_modes, open_frame, query_frame, spawn_mode, Shadow, SCHEMA};
+use common::{apply_frame, open_frame, query_frame, spawn_server, Shadow, SCHEMA};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 /// A server with no reasoning budget, so answers are deterministic and
 /// comparable with an unbounded in-process shadow.
-fn unbudgeted_server(mode: NetMode) -> Server {
+fn unbudgeted_server() -> Server {
     let mut config = ServerConfig::default();
     config.quota.deadline = None;
     config.quota.max_items = None;
-    spawn_mode(config, mode)
+    spawn_server(config)
 }
 
 fn ok(resp: &str) -> Json {
@@ -40,13 +40,7 @@ fn err_kind(resp: &str) -> String {
 
 #[test]
 fn malformed_frames_never_tear_down_the_connection() {
-    for mode in net_modes() {
-        malformed_frames_never_tear_down_the_connection_in(mode);
-    }
-}
-
-fn malformed_frames_never_tear_down_the_connection_in(mode: NetMode) {
-    let mut server = unbudgeted_server(mode);
+    let mut server = unbudgeted_server();
     let mut client = Client::connect(server.addr()).unwrap();
 
     assert_eq!(err_kind(&client.roundtrip("this is not json").unwrap()), "bad_json");
@@ -69,14 +63,8 @@ fn malformed_frames_never_tear_down_the_connection_in(mode: NetMode) {
 /// through the server loop, and the connection survives each one.
 #[test]
 fn formerly_panicking_inputs_error_through_the_server() {
-    for mode in net_modes() {
-        formerly_panicking_inputs_error_through_the_server_in(mode);
-    }
-}
-
-fn formerly_panicking_inputs_error_through_the_server_in(mode: NetMode) {
     let config = ServerConfig { max_frame_bytes: 1 << 20, ..Default::default() };
-    let mut server = spawn_mode(config, mode);
+    let mut server = spawn_server(config);
     let mut client = Client::connect(server.addr()).unwrap();
 
     // 100k nested parens in schema text: the recursive-descent parser
@@ -112,13 +100,7 @@ fn formerly_panicking_inputs_error_through_the_server_in(mode: NetMode) {
 
 #[test]
 fn pipelined_requests_answer_in_order() {
-    for mode in net_modes() {
-        pipelined_requests_answer_in_order_in(mode);
-    }
-}
-
-fn pipelined_requests_answer_in_order_in(mode: NetMode) {
-    let mut server = unbudgeted_server(mode);
+    let mut server = unbudgeted_server();
     let mut client = Client::connect(server.addr()).unwrap();
     ok(&client.roundtrip(&open_frame("w", 0, SCHEMA)).unwrap());
     for id in 1..=20u64 {
@@ -201,13 +183,7 @@ fn random_queries(rng: &mut SmallRng) -> Vec<WireQuery> {
 /// operations on an in-process [`car_core::Workspace`].
 #[test]
 fn server_answers_are_bit_identical_to_in_process_replay() {
-    for mode in net_modes() {
-        server_answers_are_bit_identical_to_in_process_replay_in(mode);
-    }
-}
-
-fn server_answers_are_bit_identical_to_in_process_replay_in(mode: NetMode) {
-    let mut server = unbudgeted_server(mode);
+    let mut server = unbudgeted_server();
     let mut client = Client::connect(server.addr()).unwrap();
     ok(&client.roundtrip(&open_frame("w", 0, SCHEMA)).unwrap());
     let mut shadow = Shadow::new(SCHEMA);
@@ -251,13 +227,7 @@ fn server_answers_are_bit_identical_to_in_process_replay_in(mode: NetMode) {
 /// right client with the right value.
 #[test]
 fn coalesced_concurrent_queries_are_answered_correctly() {
-    for mode in net_modes() {
-        coalesced_concurrent_queries_are_answered_correctly_in(mode);
-    }
-}
-
-fn coalesced_concurrent_queries_are_answered_correctly_in(mode: NetMode) {
-    let mut server = unbudgeted_server(mode);
+    let mut server = unbudgeted_server();
     let mut setup = Client::connect(server.addr()).unwrap();
     ok(&setup.roundtrip(&open_frame("w", 0, SCHEMA)).unwrap());
 
