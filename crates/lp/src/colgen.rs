@@ -18,9 +18,10 @@
 //!    `B⁻¹·a`, computed by a sparse dot against those columns.
 //! 2. **Duals are free.** The simplex multiplier of row `k` is
 //!    `cost(init_k) − obj[init_k]` (cost `−1` for artificials, `0` for
-//!    slacks), sign-adjusted for rows whose right-hand side was negated
-//!    during standardization — the same extraction
-//!    `car_lp::simplex::certify` uses for Farkas certificates.
+//!    slacks), sign-adjusted for rows that standardization negated (a
+//!    negative right-hand side, or a `≥` row with a zero one) — the
+//!    same extraction `car_lp::simplex::certify` uses for Farkas
+//!    certificates.
 //! 3. **Phase 1 never mutates the row structure here.** Unlike the full
 //!    two-phase solver, the master *never* drives degenerate artificials
 //!    out of the basis and never deletes redundant rows; row indices and

@@ -11,11 +11,16 @@
 //! 2. the sum of such witnesses is a single solution positive on the
 //!    entire support — the "maximal" solution used by Theorem 3.3.
 //!
+//! The cone of a block-diagonal system is the product of its block
+//! cones, so the analysis runs on each block of unknowns that share no
+//! row with the rest on its own (§4.4's independent clusters cost what
+//! they cost alone).
+//!
 //! Rational solutions scale to integer ones by clearing denominators
 //! ([`scale_to_integers`]), which is exactly the integer-solution argument
 //! the paper borrows from [LN90] and [Pap81] in Theorem 4.3.
 
-use crate::expr::LinExpr;
+use crate::expr::{LinExpr, VarId};
 use crate::problem::{Problem, Relation};
 use crate::simplex::{LpInterrupted, SolveHooks};
 use car_arith::{lcm, BigInt, Ratio};
@@ -29,14 +34,16 @@ pub struct SupportAnalysis {
     /// A solution of the system that is strictly positive on exactly the
     /// variables in the support (all-zero when the support is empty).
     pub witness: Vec<Ratio>,
-    /// Number of LP feasibility calls performed (for statistics).
+    /// Number of LP solves run (for statistics). An unknown in no row
+    /// needs none.
     pub lp_calls: usize,
 }
 
 /// Computes the support of the solution cone of a homogeneous problem.
 ///
-/// Runs at most one LP feasibility test per variable; every returned
-/// witness short-circuits the variables it already proves positive.
+/// Runs at most one LP feasibility test per variable, block by block
+/// (see [`try_support`]); every returned witness short-circuits the
+/// variables it already proves positive.
 ///
 /// # Panics
 /// Panics if the problem is not homogeneous (the cone reasoning would be
@@ -51,6 +58,14 @@ pub fn support(problem: &Problem) -> SupportAnalysis {
 
 /// [`support`] with cooperative interruption: the `hooks` are threaded
 /// into every underlying LP solve and polled once per simplex pivot.
+///
+/// The system is solved block by block. Two variables share a block when
+/// some row mentions both (transitively), so distinct blocks share no
+/// unknown and the cone is the product of the block cones: a variable's
+/// support and a block's witness do not depend on the other blocks, and
+/// the block witnesses together solve the whole system. A variable in no
+/// row is unconstrained, so it is in the support with witness 1 and costs
+/// no LP.
 ///
 /// # Errors
 /// [`LpInterrupted`] as soon as the hooks say stop.
@@ -67,14 +82,114 @@ pub fn try_support(
     );
     let n = problem.num_vars();
     let mut in_support = vec![false; n];
+    let mut witness = vec![Ratio::zero(); n];
+    let mut lp_calls = 0;
+    for block in blocks(problem) {
+        if block.rows.is_empty() {
+            // Only a row joins variables, so this is one free variable.
+            let j = block.vars[0];
+            in_support[j] = true;
+            witness[j] = Ratio::one();
+            continue;
+        }
+        let part = block_support(&block.problem(problem), hooks)?;
+        lp_calls += part.lp_calls;
+        for (k, &j) in block.vars.iter().enumerate() {
+            in_support[j] = part.in_support[k];
+            witness[j] = part.witness[k].clone();
+        }
+    }
+
+    debug_assert!(problem.check_point(&witness));
+    debug_assert!((0..n).all(|j| in_support[j] == witness[j].is_positive()));
+    Ok(SupportAnalysis { in_support, witness, lp_calls })
+}
+
+/// A connected component of the row/variable incidence graph: its
+/// variables and the rows that mention them, both in increasing order.
+struct Block {
+    vars: Vec<usize>,
+    rows: Vec<usize>,
+}
+
+impl Block {
+    /// The block's rows over its own variables, renumbered `0..vars.len()`
+    /// in their original order.
+    fn problem(&self, whole: &Problem) -> Problem {
+        let mut p = Problem::new();
+        for &j in &self.vars {
+            p.add_var(whole.var_name(VarId(j)));
+        }
+        for &r in &self.rows {
+            let c = &whole.constraints()[r];
+            let mut expr = LinExpr::zero();
+            for (v, coeff) in c.expr.iter() {
+                let local = self.vars.binary_search(&v.index()).expect("row stays in its block");
+                expr.add_term(VarId(local), coeff.clone());
+            }
+            p.add_constraint(expr, c.rel, c.rhs.clone());
+        }
+        p
+    }
+}
+
+/// Splits `problem` into its [`Block`]s by union-find over each row's
+/// variables, ordered by their smallest variable. A row with no variable
+/// (`0 ⋈ 0`, true everywhere) belongs to no block.
+fn blocks(problem: &Problem) -> Vec<Block> {
+    fn find(parent: &mut [usize], mut x: usize) -> usize {
+        while parent[x] != x {
+            parent[x] = parent[parent[x]];
+            x = parent[x];
+        }
+        x
+    }
+    let n = problem.num_vars();
+    let mut parent: Vec<usize> = (0..n).collect();
+    for c in problem.constraints() {
+        let mut vars = c.expr.iter().map(|(v, _)| v.index());
+        let Some(first) = vars.next() else { continue };
+        for v in vars {
+            let (a, b) = (find(&mut parent, first), find(&mut parent, v));
+            parent[a] = b;
+        }
+    }
+    let mut block_of_root = vec![usize::MAX; n];
+    let mut out: Vec<Block> = Vec::new();
+    for j in 0..n {
+        let root = find(&mut parent, j);
+        if block_of_root[root] == usize::MAX {
+            block_of_root[root] = out.len();
+            out.push(Block { vars: Vec::new(), rows: Vec::new() });
+        }
+        out[block_of_root[root]].vars.push(j);
+    }
+    for (r, c) in problem.constraints().iter().enumerate() {
+        if let Some((v, _)) = c.expr.iter().next() {
+            let root = find(&mut parent, v.index());
+            out[block_of_root[root]].rows.push(r);
+        }
+    }
+    out
+}
+
+/// The support of one block's cone, by positivity probes. Runs at most
+/// one LP feasibility test per variable; every returned witness
+/// short-circuits the variables it already proves positive.
+fn block_support(
+    problem: &Problem,
+    hooks: &SolveHooks<'_>,
+) -> Result<SupportAnalysis, LpInterrupted> {
+    let n = problem.num_vars();
+    let mut in_support = vec![false; n];
     let mut decided = vec![false; n];
     let mut witness = vec![Ratio::zero(); n];
     let mut lp_calls = 0;
 
     let absorb = |point: &[Ratio],
-                      witness: &mut Vec<Ratio>,
-                      in_support: &mut Vec<bool>,
-                      decided: &mut Vec<bool>| {
+                  witness: &mut Vec<Ratio>,
+                  in_support: &mut Vec<bool>,
+                  decided: &mut Vec<bool>| {
         for (k, v) in point.iter().enumerate().take(n) {
             witness[k] += v;
             if v.is_positive() {
@@ -97,7 +212,7 @@ pub fn try_support(
         }
         // Optimistic probe: can all still-undecided variables be positive
         // simultaneously? (In category-β schemas this succeeds immediately,
-        // collapsing the whole analysis to one LP call.)
+        // collapsing the whole block to one LP call.)
         if undecided.len() <= ALL_PROBE_LIMIT {
             lp_calls += 1;
             if let Some(point) = positivity_probe(problem, &undecided, ProbeMode::Each, hooks)? {
@@ -127,9 +242,6 @@ pub fn try_support(
             }
         }
     }
-
-    debug_assert!(problem.check_point(&witness));
-    debug_assert!((0..n).all(|j| in_support[j] == witness[j].is_positive()));
     Ok(SupportAnalysis { in_support, witness, lp_calls })
 }
 
@@ -146,13 +258,14 @@ enum ProbeMode {
 ///
 /// Rather than bolting `x_j ≥ 1` rows onto the system — inhomogeneous
 /// rows that force the simplex through a full phase 1 with one artificial
-/// variable each — this maximizes a fresh variable `t` subject to
-/// `x_j − t ≥ 0` (or `Σ x_j − t ≥ 0`) and `t ≤ 1`. Every row except
-/// `t ≤ 1` keeps a zero right-hand side, so the all-slack basis is
-/// feasible... almost: `≥`-rows still standardize with (degenerate)
-/// artificials, but driving a zero-valued artificial out is a handful of
-/// degenerate pivots, not a search. By the cone's scalability, the probe
-/// succeeds iff the optimal `t` is strictly positive.
+/// variable each — the `Each` probe maximizes a fresh variable `t`
+/// subject to `x_j − t ≥ 0` and `t ≤ 1`, and the `Some` probe maximizes
+/// `Σ x_j` subject to `x_j ≤ 1`. The added rows either have a zero
+/// right-hand side or are `≤` rows with a positive one, and
+/// standardization turns every zero-right-hand-side `≥` row into a `≤`
+/// row, so each probe starts from a feasible all-slack basis and skips
+/// phase 1. By the cone's scalability, the probe succeeds iff the
+/// optimum is strictly positive.
 fn positivity_probe(
     problem: &Problem,
     vars: &[usize],
@@ -164,7 +277,7 @@ fn positivity_probe(
     match mode {
         ProbeMode::Each => {
             for &j in vars {
-                let mut expr = LinExpr::var(crate::VarId(j));
+                let mut expr = LinExpr::var(VarId(j));
                 expr.add_term(t, -Ratio::one());
                 p.add_constraint(expr, Relation::Ge, Ratio::zero());
             }
@@ -178,8 +291,8 @@ fn positivity_probe(
             // absorbs a large batch.
             let mut objective = LinExpr::zero();
             for &j in vars {
-                objective.add_term(crate::VarId(j), Ratio::one());
-                p.add_constraint(LinExpr::var(crate::VarId(j)), Relation::Le, Ratio::one());
+                objective.add_term(VarId(j), Ratio::one());
+                p.add_constraint(LinExpr::var(VarId(j)), Relation::Le, Ratio::one());
             }
             return match p.maximize_with_hooks(&objective, hooks)? {
                 crate::SolveResult::Optimal { value, mut point } if value.is_positive() => {
@@ -228,7 +341,8 @@ pub fn scale_to_integers(point: &[Ratio]) -> Vec<BigInt> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::expr::{int, VarId};
+    use crate::expr::int;
+    use proptest::prelude::*;
 
     fn homogeneous(pairs: &[(&[(usize, i64)], Relation)], n: usize) -> Problem {
         let mut p = Problem::new();
@@ -292,9 +406,15 @@ mod tests {
 
     #[test]
     fn lp_call_count_is_bounded_by_vars() {
+        // No rows: every variable is unconstrained and needs no LP.
         let p = homogeneous(&[], 5);
         let s = support(&p);
-        // One witness proves all five positive: exactly 1 call.
+        assert_eq!(s.lp_calls, 0);
+        assert!(s.witness.iter().all(|w| *w == Ratio::one()));
+        // One row over all five: one witness proves them all positive.
+        let p = homogeneous(&[(&[(0, 1), (1, 1), (2, 1), (3, 1), (4, -1)], Relation::Ge)], 5);
+        let s = support(&p);
+        assert_eq!(s.in_support, vec![true; 5]);
         assert_eq!(s.lp_calls, 1);
     }
 
@@ -323,6 +443,64 @@ mod tests {
         let point = vec![int(3), int(0), int(7)];
         let ints = scale_to_integers(&point);
         assert_eq!(ints, vec![BigInt::from(3), BigInt::zero(), BigInt::from(7)]);
+    }
+
+    /// Random homogeneous problems made of independent blocks: each block
+    /// is `(size, rows)`, a row is `(coefficients, relation)`, and the
+    /// blocks' variables are shuffled together by `seed` so that no block
+    /// occupies a contiguous index range.
+    fn arb_block_diagonal() -> impl Strategy<Value = Problem> {
+        let row = (proptest::collection::vec(-3i64..4, 4), 0u8..3);
+        let block = (1usize..5, proptest::collection::vec(row, 0..5));
+        (proptest::collection::vec(block, 1..5), any::<u64>()).prop_map(|(blocks, seed)| {
+            let n: usize = blocks.iter().map(|(size, _)| size).sum();
+            let mut order: Vec<usize> = (0..n).collect();
+            let mut state = seed | 1;
+            for i in (1..n).rev() {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                order.swap(i, (state % (i as u64 + 1)) as usize);
+            }
+            let mut p = Problem::new();
+            for i in 0..n {
+                p.add_var(format!("x{i}"));
+            }
+            let mut first = 0;
+            for (size, rows) in blocks {
+                for (coeffs, rel) in rows {
+                    let terms = (0..size).map(|i| (VarId(order[first + i]), coeffs[i]));
+                    let rel = match rel {
+                        0 => Relation::Le,
+                        1 => Relation::Ge,
+                        _ => Relation::Eq,
+                    };
+                    p.add_constraint(LinExpr::from_terms(terms), rel, Ratio::zero());
+                }
+                first += size;
+            }
+            p
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn prop_support_matches_per_variable_feasibility(p in arb_block_diagonal()) {
+            let s = support(&p);
+            for j in 0..p.num_vars() {
+                // The definition, checked through phase 1: `x_j ≥ 1` is an
+                // inhomogeneous row, so it starts with an artificial.
+                let mut probe = p.clone();
+                probe.add_constraint(LinExpr::var(VarId(j)), Relation::Ge, Ratio::one());
+                let feasible = probe.feasible_point().is_some();
+                prop_assert_eq!(s.in_support[j], feasible, "x{} in\n{}", j, p);
+                prop_assert_eq!(s.in_support[j], s.witness[j].is_positive());
+            }
+            prop_assert!(p.check_point(&s.witness), "witness fails\n{}", p);
+            prop_assert!(s.lp_calls <= 2 * p.num_vars());
+        }
     }
 
     #[test]

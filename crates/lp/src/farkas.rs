@@ -167,6 +167,17 @@ mod tests {
             ge(&mut p, &[(0, 1)], 1);
             cases.push(p);
         }
+        {
+            // The same with zero-right-hand-side `≥` rows, which
+            // standardization negates into `≤` rows: x >= 2y, y >= 2x.
+            let mut p = Problem::new();
+            p.add_var("x");
+            p.add_var("y");
+            ge(&mut p, &[(0, 1), (1, -2)], 0);
+            ge(&mut p, &[(1, 1), (0, -2)], 0);
+            ge(&mut p, &[(0, 1)], 1);
+            cases.push(p);
+        }
         for (i, p) in cases.iter().enumerate() {
             assert!(p.feasible_point().is_none(), "case {i} must be infeasible");
             let cert = p

@@ -1,7 +1,7 @@
 //! Two-phase primal simplex with Bland's anti-cycling rule.
 
 use crate::expr::LinExpr;
-use crate::problem::{Problem, Relation, SolveResult};
+use crate::problem::{Constraint, Problem, Relation, SolveResult};
 use crate::tableau::{SparseRow, Tableau};
 use car_arith::Ratio;
 use std::fmt;
@@ -142,8 +142,8 @@ pub(crate) struct Standardized {
     /// Per row: the slack/artificial column that formed the initial
     /// basis (used to read simplex multipliers off the phase-1 tableau).
     pub(crate) init_basis_cols: Vec<usize>,
-    /// Per row: whether the original constraint was negated to make its
-    /// right-hand side nonnegative.
+    /// Per row: whether the original constraint was negated (see
+    /// [`negates`]).
     pub(crate) negated: Vec<bool>,
 }
 
@@ -155,9 +155,7 @@ pub(crate) fn standardize(problem: &Problem) -> Standardized {
     // One pass to count extra columns.
     let mut n_cols = n;
     for c in problem.constraints() {
-        let rhs_neg = c.rhs.is_negative();
-        let rel = effective_relation(c.rel, rhs_neg);
-        match rel {
+        match effective_relation(c.rel, negates(c)) {
             Relation::Le => n_cols += 1,
             Relation::Ge => n_cols += 2,
             Relation::Eq => n_cols += 1,
@@ -174,7 +172,7 @@ pub(crate) fn standardize(problem: &Problem) -> Standardized {
 
     for c in problem.constraints() {
         let mut row = vec![Ratio::zero(); n_cols];
-        let negate = c.rhs.is_negative();
+        let negate = negates(c);
         for (v, coeff) in c.expr.iter() {
             row[v.index()] = if negate { -coeff } else { coeff.clone() };
         }
@@ -228,7 +226,17 @@ pub(crate) fn standardize(problem: &Problem) -> Standardized {
     }
 }
 
-/// The relation after normalizing the right-hand side to be nonnegative.
+/// Whether standardization negates constraint `c`: always when its
+/// right-hand side is negative (so that `b ≥ 0`), and also for a `≥` row
+/// with a zero right-hand side. Negated, such a row is a `≤` row whose
+/// slack starts basic at zero, where the `≥` form would need a surplus
+/// and an artificial. So a homogeneous `≤`/`≥` system starts from a
+/// feasible all-slack basis and skips phase 1.
+fn negates(c: &Constraint) -> bool {
+    c.rhs.is_negative() || (c.rel == Relation::Ge && c.rhs.is_zero())
+}
+
+/// The relation after negating a row (see [`negates`]).
 fn effective_relation(rel: Relation, negated: bool) -> Relation {
     if !negated {
         return rel;
@@ -371,7 +379,7 @@ pub(crate) fn certify(problem: &Problem) -> Option<crate::FarkasCertificate> {
     // Phase 1 stalled with a positive artificial sum: read the simplex
     // multipliers y off the reduced costs of each row's initial basis
     // column (cost 0 for slacks, -1 for artificials), then undo the
-    // rhs-sign normalization. See `car-lp`'s farkas module for why the
+    // row negations of `standardize`. See `car-lp`'s farkas module for why the
     // result certifies infeasibility; the certificate is re-verified
     // exactly before being returned.
     let t = &s.tableau;
